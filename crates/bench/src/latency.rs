@@ -145,6 +145,7 @@ mod tests {
 
     #[test]
     fn both_configurations_acquire_and_release() {
+        let _serial = crate::serial();
         let b = Loc(0);
         let mut m = layered_machine();
         roundtrip(&mut m, b);
@@ -158,6 +159,7 @@ mod tests {
 
     #[test]
     fn removing_logical_primitives_reduces_latency() {
+        let _serial = crate::serial();
         let report = measure(200);
         assert!(
             report.ratio > 1.2,

@@ -20,3 +20,13 @@
 pub mod latency;
 pub mod scaling;
 pub mod tables;
+
+/// Serializes this crate's tests that execute checkers or ClightX code.
+/// The `prefix::*` work counters are process-global: a test bracketing
+/// them between `steps_reset()` and `*_total()` must not overlap any
+/// other test that bumps them.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

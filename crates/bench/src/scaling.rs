@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use ccal_core::calculus::{check_fun, pcomp, CheckOptions, Obligation};
 use ccal_core::conc::ThreadScript;
 use ccal_core::contexts::ContextGen;
+use ccal_core::explore::ExploreOptions;
 use ccal_core::id::{Loc, Pid, PidSet};
 use ccal_core::sim::SimRelation;
 use ccal_objects::ticket::{
@@ -29,8 +30,8 @@ use ccal_objects::ticket::{
     r2_relation, FooEnvPlayer, TicketEnvPlayer, M2_SOURCE,
 };
 use ccal_verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, lock_history_validator, ticket_bound, OpScript,
+    check_linearizability_with, check_liveness_with, check_race_freedom_with,
+    check_sequence_refinement_with, lock_history_validator, ticket_bound, OpScript,
 };
 use std::sync::Arc;
 
@@ -75,11 +76,11 @@ fn certify_both(schedule_len: usize, workers: usize, dedup: bool) -> (usize, usi
             .with_schedule_len(schedule_len)
             .contexts();
         contexts_used += contexts.len();
-        let opts = CheckOptions::new(contexts)
+        let mut opts = CheckOptions::new(contexts)
             .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
             .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
-            .with_workers(workers)
-            .with_dedup(dedup);
+            .with_workers(workers);
+        opts.sim.dedup = dedup;
         let layer = check_fun(
             &l0_interface(),
             &m1,
@@ -257,11 +258,11 @@ fn certify_por(
     let contexts = gen.contexts();
     let grid = contexts.len();
     let start = Instant::now();
-    let opts = CheckOptions::new(contexts)
+    let mut opts = CheckOptions::new(contexts)
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(workers)
-        .with_por(por);
+        .with_workers(workers);
+    opts.sim.explore.por = por;
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -386,10 +387,10 @@ fn certify_client_por(
     let contexts = gen.contexts();
     let grid = contexts.len();
     let start = Instant::now();
-    let opts = CheckOptions::new(contexts)
+    let mut opts = CheckOptions::new(contexts)
         .with_workload("foo", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(workers)
-        .with_por(por);
+        .with_workers(workers);
+    opts.sim.explore.por = por;
     let layer = check_fun(
         &lock_interface(),
         &m2,
@@ -572,12 +573,12 @@ fn certify_prefix(
         .contexts();
     ccal_core::prefix::steps_reset();
     let start = Instant::now();
-    let opts = CheckOptions::new(contexts)
+    let mut opts = CheckOptions::new(contexts)
         .with_workload("foo", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(workers)
-        .with_prefix_share(share)
-        .with_deep_share(deep)
-        .with_state_dedup(false);
+        .with_workers(workers);
+    opts.sim.explore.prefix_share = share;
+    opts.sim.explore.deep_share = deep;
+    opts.sim.explore.state_dedup = false;
     let layer = check_fun(
         &lock_interface(),
         &m2,
@@ -773,13 +774,13 @@ fn certify_ticket_prefix(
         .contexts();
     ccal_core::prefix::steps_reset();
     let start = Instant::now();
-    let opts = CheckOptions::new(contexts)
+    let mut opts = CheckOptions::new(contexts)
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(1)
-        .with_prefix_share(share)
-        .with_deep_share(deep)
-        .with_state_dedup(false);
+        .with_workers(1);
+    opts.sim.explore.prefix_share = share;
+    opts.sim.explore.deep_share = deep;
+    opts.sim.explore.state_dedup = false;
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -937,12 +938,12 @@ fn certify_ticket_tier(schedule_len: usize, bytecode: bool) -> (usize, u64, u64,
         .contexts();
     ccal_core::prefix::steps_reset();
     let start = Instant::now();
-    let opts = CheckOptions::new(contexts)
+    let mut opts = CheckOptions::new(contexts)
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(1)
-        .with_bytecode(bytecode)
-        .with_state_dedup(false);
+        .with_workers(1);
+    opts.sim.explore.bytecode = bytecode;
+    opts.sim.explore.state_dedup = false;
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -1064,18 +1065,12 @@ impl ConvergenceRow {
     }
 }
 
-/// Runs `f` serially with the convergence cache forced to `state_dedup`
-/// and the ClightX tier forced to `bytecode` — both tiers expose an
-/// in-flight state fingerprint (`CRun::state_fp` on the interpreter,
-/// the VM's slot image on the bytecode tier), so the cache is live
-/// either way and the tier is a measurement axis. Returns
+/// Runs `f` bracketed on the process-global step counters. Returns
 /// `(f(), atom_steps, conv_hits, conv_evictions)`. Evictions are
 /// accumulated on kernel drop, which happens inside the checker call, so
 /// reading the counter after `f` returns captures them.
-fn conv_bracket<T>(bytecode: bool, state_dedup: bool, f: &dyn Fn() -> T) -> (T, u64, u64, u64) {
-    use ccal_core::prefix::{self, BytecodeOverride, StateDedupOverride};
-    let _tier = BytecodeOverride::force(bytecode);
-    let _sd = StateDedupOverride::force(state_dedup);
+fn conv_bracket<T>(f: impl FnOnce() -> T) -> (T, u64, u64, u64) {
+    use ccal_core::prefix;
     prefix::steps_reset();
     let out = f();
     (
@@ -1088,11 +1083,13 @@ fn conv_bracket<T>(bytecode: bool, state_dedup: bool, f: &dyn Fn() -> T) -> (T, 
 
 /// One serial contended-ticket certification (B6's context family — the
 /// regime where overtaking schedules reconverge on identical lock
-/// states) on the given ClightX tier, returning the discharged cases.
-/// Counter bracketing is the caller's job via [`conv_bracket`]; the
-/// workload must request the tier itself because
-/// `check_prim_refinement` re-forces the tier its options name.
-fn certify_ticket_contended(schedule_len: usize, bytecode: bool) -> usize {
+/// states) on the given ClightX tier and convergence setting, returning
+/// the discharged cases. Both tiers expose an in-flight state
+/// fingerprint (`CRun::state_fp` on the interpreter, the VM's slot image
+/// on the bytecode tier), so the cache is live either way and the tier
+/// is a measurement axis. Counter bracketing is the caller's job via
+/// [`conv_bracket`].
+fn certify_ticket_contended(schedule_len: usize, bytecode: bool, state_dedup: bool) -> usize {
     let b = Loc(0);
     let m1 = m1_module().expect("M1 parses");
     let contexts = ContextGen::new(vec![Pid(0), Pid(1), Pid(2)])
@@ -1101,11 +1098,12 @@ fn certify_ticket_contended(schedule_len: usize, bytecode: bool) -> usize {
         .with_schedule_len(schedule_len)
         .with_max_contexts(3_usize.pow(schedule_len as u32))
         .contexts();
-    let opts = CheckOptions::new(contexts)
+    let mut opts = CheckOptions::new(contexts)
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
-        .with_workers(1)
-        .with_bytecode(bytecode);
+        .with_workers(1);
+    opts.sim.explore.bytecode = bytecode;
+    opts.sim.explore.state_dedup = state_dedup;
     let layer = check_fun(
         &l0_interface(),
         &m1,
@@ -1127,9 +1125,9 @@ fn certify_ticket_contended(schedule_len: usize, bytecode: bool) -> usize {
 /// cases, or the forced-off baseline records a hit.
 pub fn convergence_row(schedule_len: usize) -> ConvergenceRow {
     let grid = 3_usize.pow(schedule_len as u32);
-    let run = || {
+    let run = |state_dedup| {
         let start = Instant::now();
-        let cases = certify_ticket_contended(schedule_len, true);
+        let cases = certify_ticket_contended(schedule_len, true, state_dedup);
         (cases, start.elapsed())
     };
     // The forced-off baseline records no hits of its own, but the hit
@@ -1137,9 +1135,9 @@ pub fn convergence_row(schedule_len: usize) -> ConvergenceRow {
     // the bench binary (via the per-checker stats), which owns its
     // process; in-crate tests share theirs with the rest of the suite.
     let ((cases_base, serial_base), atom_steps_base, _base_hits, _) =
-        conv_bracket(true, false, &run);
+        conv_bracket(|| run(false));
     let ((cases, serial_dedup), atom_steps_dedup, conv_hits, conv_evictions) =
-        conv_bracket(true, true, &run);
+        conv_bracket(|| run(true));
     assert_eq!(
         cases, cases_base,
         "convergence dedup changed the discharged cases"
@@ -1264,28 +1262,19 @@ pub fn convergence_checker_stats() -> Vec<ConvCheckerStat> {
         Ok(ob) => (ob.cases_checked, format!("{ob:?}")),
         Err(e) => (0, format!("err:{e}")),
     };
-    let checkers: Vec<(&'static str, bool, Box<dyn Fn() -> (usize, String) + '_>)> = vec![
-        (
-            "sim",
-            true,
-            Box::new(|| {
-                let cases = certify_ticket_contended(4, true);
-                (cases, format!("certified:{cases}"))
-            }),
-        ),
-        (
-            "interp",
-            false,
-            Box::new(|| {
-                let cases = certify_ticket_contended(4, false);
-                (cases, format!("certified:{cases}"))
-            }),
-        ),
+    let certify = |o: &ExploreOptions| {
+        let cases = certify_ticket_contended(4, o.bytecode, o.state_dedup);
+        (cases, format!("certified:{cases}"))
+    };
+    type Run<'a> = Box<dyn Fn(&ExploreOptions) -> (usize, String) + 'a>;
+    let checkers: Vec<(&'static str, bool, Run)> = vec![
+        ("sim", true, Box::new(certify)),
+        ("interp", false, Box::new(certify)),
         (
             "live",
             true,
-            Box::new(|| {
-                canon(check_liveness_tuned(
+            Box::new(|o| {
+                canon(check_liveness_with(
                     &iface,
                     "acq",
                     &[ccal_core::val::Val::Loc(b)],
@@ -1293,35 +1282,29 @@ pub fn convergence_checker_stats() -> Vec<ConvCheckerStat> {
                     &player_contexts(),
                     ticket_bound(4, 8, 2),
                     200_000,
-                    1,
-                    false,
-                    false,
-                    false,
+                    o,
                 ))
             }),
         ),
         (
             "race",
             true,
-            Box::new(|| {
-                canon(check_race_freedom_tuned(
+            Box::new(|o| {
+                canon(check_race_freedom_with(
                     &iface,
                     &focused,
                     &programs,
                     &open_contexts(),
                     200_000,
-                    1,
-                    false,
-                    false,
-                    false,
+                    o,
                 ))
             }),
         ),
         (
             "linz",
             true,
-            Box::new(|| {
-                canon(check_linearizability_tuned(
+            Box::new(|o| {
+                canon(check_linearizability_with(
                     &iface,
                     &focused,
                     &programs,
@@ -1329,18 +1312,15 @@ pub fn convergence_checker_stats() -> Vec<ConvCheckerStat> {
                     &validator,
                     &open_contexts(),
                     200_000,
-                    1,
-                    false,
-                    false,
-                    false,
+                    o,
                 ))
             }),
         ),
         (
             "seqref",
             true,
-            Box::new(|| {
-                canon(check_sequence_refinement_tuned(
+            Box::new(|o| {
+                canon(check_sequence_refinement_with(
                     &iface,
                     &lock_interface(),
                     &r1_relation(),
@@ -1348,20 +1328,28 @@ pub fn convergence_checker_stats() -> Vec<ConvCheckerStat> {
                     &player_contexts(),
                     &scripts,
                     200_000,
-                    1,
-                    false,
-                    false,
-                    false,
+                    o,
                 ))
             }),
         ),
     ];
     let mut stats = Vec::new();
     for (checker, bytecode, run) in &checkers {
+        // Serial, reduction and sharing off: the convergence cache is the
+        // only layer between the two runs.
+        let opts = |state_dedup| ExploreOptions {
+            workers: 1,
+            por: false,
+            prefix_share: false,
+            deep_share: false,
+            state_dedup,
+            bytecode: *bytecode,
+            ..ExploreOptions::default()
+        };
         let ((cases_base, out_base), atom_steps_base, base_hits, _) =
-            conv_bracket(*bytecode, false, run.as_ref());
+            conv_bracket(|| run(&opts(false)));
         let ((cases, out), atom_steps_dedup, conv_hits, conv_evictions) =
-            conv_bracket(*bytecode, true, run.as_ref());
+            conv_bracket(|| run(&opts(true)));
         assert_eq!(
             (cases, &out),
             (cases_base, &out_base),
@@ -1417,6 +1405,7 @@ mod tests {
 
     #[test]
     fn por_shrinks_the_kernel_stack_grid_at_least_twofold() {
+        let _serial = crate::serial();
         let row = por_row_tuned(5, 2);
         assert_eq!(row.grid, 4_usize.pow(5));
         assert!(row.reduced > 0, "independent players must license pruning");
@@ -1429,6 +1418,7 @@ mod tests {
 
     #[test]
     fn declared_prim_footprints_widen_the_client_layer_reduction() {
+        let _serial = crate::serial();
         let row = por_widened_row_tuned(5, 2);
         assert_eq!(row.grid, 4_usize.pow(5));
         assert!(
@@ -1445,11 +1435,10 @@ mod tests {
 
     #[test]
     fn prefix_sharing_reuses_lower_runs_and_preserves_evidence() {
+        let _serial = crate::serial();
         // Case counts are asserted inside `prefix_row_tuned`; here only
-        // monotone facts are checked, because the step counters are
-        // process-global and other tests in this binary may be running
-        // concurrently. The hard ≤50 % step-ratio acceptance lives in the
-        // `prefix_sharing` bench binary, which owns its process.
+        // monotone facts are checked. The hard ≤50 % step-ratio
+        // acceptance lives in the `prefix_sharing` bench binary.
         let row = prefix_row_tuned(4, 2);
         assert_eq!(row.grid, 81);
         assert!(row.cases > 0);
@@ -1461,9 +1450,9 @@ mod tests {
 
     #[test]
     fn query_point_snapshots_cut_into_the_ticket_spin() {
-        // As above: only structural facts here (the step counters are
-        // process-global); the hard ≤0.7 deep/share gate lives in the
-        // `prefix_sharing` bench binary.
+        let _serial = crate::serial();
+        // As above: only structural facts here; the hard ≤0.7
+        // deep/share gate lives in the `prefix_sharing` bench binary.
         let row = deep_row(3);
         assert_eq!(row.grid, 27);
         assert!(row.cases > 0);
@@ -1475,9 +1464,10 @@ mod tests {
 
     #[test]
     fn the_bytecode_tier_retires_fewer_primitive_steps() {
-        // As with the sharing rows: only monotone/structural facts here
-        // (the step counters are process-global); the hard ≤0.6 prim-step
-        // gate lives in the `bytecode_vm` bench binary.
+        let _serial = crate::serial();
+        // As with the sharing rows: only monotone/structural facts here;
+        // the hard ≤0.6 prim-step gate lives in the `bytecode_vm` bench
+        // binary.
         let row = bytecode_row(3);
         assert_eq!(row.grid, 27);
         assert!(row.cases > 0);
@@ -1492,10 +1482,10 @@ mod tests {
 
     #[test]
     fn convergence_dedup_collapses_the_contended_ticket_grid() {
-        // As with the sharing rows: only monotone/structural facts here
-        // (the step counters are process-global); the hard ≤0.6
-        // atom-step gate and the per-checker zero-hit baseline live in
-        // the `convergence` bench binary.
+        let _serial = crate::serial();
+        // As with the sharing rows: only monotone/structural facts here;
+        // the hard ≤0.6 atom-step gate and the per-checker zero-hit
+        // baseline live in the `convergence` bench binary.
         let row = convergence_row(3);
         assert_eq!(row.grid, 27);
         assert!(row.cases > 0);
@@ -1513,6 +1503,7 @@ mod tests {
 
     #[test]
     fn compositional_space_is_exponentially_smaller() {
+        let _serial = crate::serial();
         let row = compositional_row(3);
         assert_eq!(row.monolithic_contexts, 64);
         assert_eq!(row.compositional_contexts, 16, "2 × 2^3");

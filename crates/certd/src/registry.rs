@@ -18,6 +18,7 @@ use std::sync::{Arc, Mutex};
 
 use ccal_core::contexts::ContextGen;
 use ccal_core::env::EnvContext;
+use ccal_core::explore::ExploreOptions;
 use ccal_core::fingerprint::{share_key, ContentHash, ContentHasher, ShareKey};
 use ccal_core::id::{Loc, Pid};
 use ccal_core::layer::LayerInterface;
@@ -283,22 +284,22 @@ fn sim_options(
     window: Option<(usize, usize)>,
     warm: Option<&SimWarm>,
 ) -> SimOptions {
-    let mut sim = SimOptions::default()
-        .with_workers(params.workers)
-        .with_dedup(params.dedup)
-        .with_por(params.por)
-        .with_prefix_share(params.prefix_share)
-        .with_deep_share(params.deep_share)
-        .with_bytecode(params.bytecode)
-        .with_state_dedup(params.state_dedup);
-    sim.setup = unit.setup.clone();
-    if let Some((lo, hi)) = window {
-        sim = sim.with_window(lo, hi);
+    SimOptions {
+        setup: unit.setup.clone(),
+        dedup: params.dedup,
+        warm: warm.cloned(),
+        explore: ExploreOptions {
+            workers: params.workers.max(1),
+            por: params.por,
+            prefix_share: params.prefix_share,
+            deep_share: params.deep_share,
+            window,
+            state_dedup: params.state_dedup,
+            bytecode: params.bytecode,
+            ..ExploreOptions::default()
+        },
+        ..SimOptions::default()
     }
-    if let Some(w) = warm {
-        sim = sim.with_warm(w.clone());
-    }
-    sim
 }
 
 /// Certificate identity: everything the verdict is a function of. The
@@ -339,14 +340,14 @@ fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHas
     h.section("sim_options");
     h.u64("opt.fuel", sim.fuel);
     h.bool("opt.compare_rets", sim.compare_rets);
-    h.usize("opt.workers", sim.workers);
+    h.usize("opt.workers", sim.explore.workers);
     h.bool("opt.dedup", sim.dedup);
-    h.bool("opt.por", sim.por);
-    h.bool("opt.prefix_share", sim.prefix_share);
-    h.bool("opt.deep_share", sim.deep_share);
-    h.bool("opt.bytecode", sim.bytecode);
-    h.bool("opt.state_dedup", sim.state_dedup);
-    h.usize("opt.snapshot_cap", sim.snapshot_cap);
+    h.bool("opt.por", sim.explore.por);
+    h.bool("opt.prefix_share", sim.explore.prefix_share);
+    h.bool("opt.deep_share", sim.explore.deep_share);
+    h.bool("opt.bytecode", sim.explore.bytecode);
+    h.bool("opt.state_dedup", sim.explore.state_dedup);
+    h.usize("opt.snapshot_cap", sim.explore.snapshot_cap);
     h.usize("opt.upper_cache_cap", sim.upper_cache_cap);
     h.finish()
 }
@@ -583,8 +584,17 @@ pub fn run_lease(lease: &Lease, warm: Option<&SimWarm>) -> ChunkReport {
 mod tests {
     use super::*;
 
+    /// Serializes this module's tests: share strings and families depend
+    /// on the process-global semantic-sharing mode, which two of them
+    /// force (`ShareSemanticOverride`) while the others read it.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn stacks_resolve_with_distinct_stable_fingerprints() {
+        let _serial = serial();
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("ticket resolves");
         let names: Vec<&str> = ticket.iter().map(|u| u.name.as_str()).collect();
@@ -616,8 +626,50 @@ mod tests {
         assert!(stack_units("nope", &params).is_err());
     }
 
+    /// Store and corpus compatibility: the default parameters' manifest
+    /// keys, unit fingerprints and share strings are pinned to the values
+    /// earlier releases computed, so reorganizing option types cannot
+    /// silently re-key stored certificates.
+    #[test]
+    fn default_parameters_keep_their_store_keys() {
+        let _serial = serial();
+        const TICKET: [(&str, &str, &str); 9] = [
+            ("funlift/acq", "409fe4db178398becb3d577c6cb12f9c", "a7ce38797c1b317af8b39152eeb0060c"),
+            ("funlift/f", "987380cdeb9a9b43d7988a561410d94b", "a7ce38797c1b317af8b39152eeb0060c"),
+            ("funlift/g", "19f78e099556cb05a35a05c918ae171f", "a7ce38797c1b317af8b39152eeb0060c"),
+            ("funlift/rel", "f0771d0314560ecaa930b657c4b28758", "a7ce38797c1b317af8b39152eeb0060c"),
+            ("loglift/acq", "77c4e4f9c02fdb216f45fbd9eb14a5d1", "cd7de0a76b13c721dc9acc25c55fc056"),
+            ("loglift/f", "5d6175bab5c89de3b63e6306532cbd26", "cd7de0a76b13c721dc9acc25c55fc056"),
+            ("loglift/g", "93c1a6ba9187e7bde34682d261beca94", "cd7de0a76b13c721dc9acc25c55fc056"),
+            ("loglift/rel", "eb2aa4f3f3ee8c97f931f672e7da2e45", "cd7de0a76b13c721dc9acc25c55fc056"),
+            ("client/foo", "351b45dd88f75f69ad45b89993c6867e", "7dd4880f132747643de1ed01819e05b0"),
+        ];
+        const QLOCK: [(&str, &str, &str); 2] = [
+            ("acq_q", "7ef724c96a66c349e8addbf4efa4a19b", "d560033f7ef9b167d0bafd3c7d744c06"),
+            ("rel_q", "129fea2aace9c26f022e77045a78b6d7", "d560033f7ef9b167d0bafd3c7d744c06"),
+        ];
+        let params = CertParams::default();
+        for (stack, manifest, pins) in [
+            ("ticket", "429aeb213d46a3756974cff29c91456e", &TICKET[..]),
+            ("qlock", "cf2603fee0b91307f9f49e0c53395d61", &QLOCK[..]),
+        ] {
+            assert_eq!(manifest_key(stack, &params).to_string(), manifest, "{stack} manifest");
+            let units = stack_units(stack, &params).expect("resolves");
+            assert_eq!(units.len(), pins.len(), "{stack} unit count");
+            for (u, (name, fingerprint, share)) in units.iter().zip(pins) {
+                assert_eq!(u.name, *name);
+                assert_eq!(u.fingerprint.to_string(), *fingerprint, "{stack}/{name} fingerprint");
+                // With semantic sharing disabled (`CCAL_SHARE_SEMANTIC=0`)
+                // the share string is the unit fingerprint by design.
+                let share = if prefix::share_semantic_effective() { share } else { fingerprint };
+                assert_eq!(u.share, *share, "{stack}/{name} share");
+            }
+        }
+    }
+
     #[test]
     fn parameter_changes_dirty_the_fingerprint() {
+        let _serial = serial();
         let base = CertParams::default();
         let mut longer = base.clone();
         longer.schedule_len += 1;
@@ -644,6 +696,7 @@ mod tests {
 
     #[test]
     fn semantic_share_keys_group_units_into_families() {
+        let _serial = serial();
         // Pin the mode: the suite also runs under CCAL_SHARE_SEMANTIC=0,
         // where shares legitimately degenerate to fingerprints.
         let _on = prefix::ShareSemanticOverride::force(true);
@@ -685,6 +738,7 @@ mod tests {
 
     #[test]
     fn disabling_semantic_sharing_restores_per_unit_keys() {
+        let _serial = serial();
         let _off = prefix::ShareSemanticOverride::force(false);
         let params = CertParams::default();
         for u in stack_units("ticket", &params).expect("resolves") {
@@ -694,6 +748,7 @@ mod tests {
 
     #[test]
     fn windowed_runs_sum_to_the_whole_grid() {
+        let _serial = serial();
         let params = CertParams::default();
         let def = &stack_units("ticket", &params).expect("resolves")[0];
         let whole = run_unit("ticket", "funlift/acq", &params, None, None).expect("runs");
@@ -716,6 +771,7 @@ mod tests {
 
     #[test]
     fn the_scratch_stack_fails_with_rendered_evidence() {
+        let _serial = serial();
         let params = CertParams::default();
         let out = run_unit("scratch", "op", &params, None, None).expect("runs");
         let failure = out.failure.expect("scratch is the known-failing fixture");

@@ -31,8 +31,10 @@ use ccal_certd::shard::{run_shard, ShardExit, ShardOptions};
 use ccal_certd::spec::{CertParams, CertRequest, CertResponse};
 use ccal_certd::store::CertStore;
 use ccal_core::contexts::ContextGen;
+use ccal_core::explore::ExploreOptions;
 use ccal_core::id::{Loc, Pid};
 use ccal_core::prefix;
+use ccal_core::sim::SimOptions;
 use ccal_objects::{qlock, ticket};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -210,9 +212,16 @@ fn registry_decomposition_matches_certified_pipelines() {
         .with_schedule_len(p.schedule_len)
         .with_por(p.por)
         .contexts();
-    let stack =
-        ticket::certify_ticket_stack_tuned(Pid(0), b, low, atomic, p.workers, p.dedup)
-            .expect("ticket certifies in process");
+    let sim = SimOptions {
+        dedup: p.dedup,
+        explore: ExploreOptions {
+            workers: p.workers,
+            ..ExploreOptions::default()
+        },
+        ..SimOptions::default()
+    };
+    let stack = ticket::certify_ticket_stack_with(Pid(0), b, low, atomic, &sim)
+        .expect("ticket certifies in process");
     let pipeline: Vec<_> = stack
         .fun_lift
         .certificate

@@ -8,9 +8,9 @@
 //! says it can, and nowhere else.
 //!
 //! The interpreter is the *reference tier*: [`module_from_lowered`] also
-//! compiles each module to flat bytecode ([`crate::compile`]) and, when
-//! [`ccal_core::prefix::bytecode_effective`] says so, instantiates the
-//! [`crate::vm::VmRun`] VM instead. Both tiers share the value semantics
+//! compiles each module to flat bytecode ([`crate::compile`]), and a
+//! machine on the compiled tier instantiates the [`crate::vm::VmRun`] VM
+//! instead. Both tiers share the value semantics
 //! in this module ([`truthy`], [`apply_unop`], [`apply_binop`]) so their
 //! verdicts, logs, and error strings are bit-identical.
 
@@ -488,32 +488,38 @@ pub fn clightx_module(name: &str, src: &str) -> Result<Module, crate::CError> {
 /// Wraps an already-lowered [`CModule`] as a core [`Module`].
 ///
 /// The module is compiled to flat bytecode once, whole-module-or-nothing
-/// ([`crate::compile::compile_module`]); each instantiation then picks the
-/// execution tier via [`ccal_core::prefix::bytecode_effective`]. Modules
+/// ([`crate::compile::compile_module`]). Each compiled function becomes a
+/// [`PrimSpec::tiered`] primitive with a VM constructor and an interpreter
+/// constructor; the instantiating machine's tier
+/// ([`ccal_core::explore::ExploreOptions::bytecode`]) picks one. Modules
 /// the compiler rejects (undeclared variables, stray `break`s — code the
 /// static checker would refuse anyway) always run on the interpreter, so
 /// their runtime error strings are unchanged.
+///
+/// [`PrimSpec::tiered`]: ccal_core::layer::PrimSpec::tiered
 pub fn module_from_lowered(name: &str, lowered: &CModule) -> Module {
+    use ccal_core::layer::PrimSpec;
     let shared_module = Arc::new(lowered.clone());
     let compiled = crate::compile::compile_module(lowered).ok().map(Arc::new);
     let mut m = Module::new(name);
     for f in lowered.iter() {
         let func = f.clone();
         let module = shared_module.clone();
+        let interp = move |_pid, args| -> Box<dyn ccal_core::layer::PrimRun> {
+            Box::new(CRun::new(module.clone(), func.clone(), args))
+        };
         let vm_target = compiled
             .as_ref()
             .and_then(|cm| cm.fn_index(&f.name).map(|fid| (cm.clone(), fid)));
-        let spec =
-            ccal_core::layer::PrimSpec::strategy(
+        let spec = match vm_target {
+            Some((cm, fid)) => PrimSpec::tiered(
                 &f.name,
                 true,
-                move |_pid, args| match &vm_target {
-                    Some((cm, fid)) if ccal_core::prefix::bytecode_effective() => {
-                        Box::new(crate::vm::VmRun::new(cm.clone(), *fid, args))
-                    }
-                    _ => Box::new(CRun::new(module.clone(), func.clone(), args)),
-                },
-            );
+                move |_pid, args| Box::new(crate::vm::VmRun::new(cm.clone(), fid, args)),
+                interp,
+            ),
+            None => PrimSpec::strategy(&f.name, true, interp),
+        };
         m = m.with_fn(Lang::C, spec);
     }
     m
@@ -647,16 +653,22 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_tier_matches_results_when_forced() {
-        // The same sources with the bytecode tier forced off must produce
-        // the same values (the full differential matrix lives in the
+    fn interpreter_tier_matches_results() {
+        // The same sources on the interpreter tier must produce the same
+        // values (the full differential matrix lives in the
         // `bytecode_differential` integration suite).
-        let _off = ccal_core::prefix::BytecodeOverride::force(false);
-        assert_eq!(
-            run("int f(int x) { return x * 3 - 1; }", "f", &[Val::Int(4)]).unwrap(),
-            Val::Int(11)
-        );
+        let run_interp = |src: &str, name: &str, args: &[Val]| {
+            let m = clightx_module("M", src).expect("valid source");
+            let extended = m.install(&LayerInterface::builder("L").build()).unwrap();
+            let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
+            LayerMachine::new(extended, Pid(0), env)
+                .with_bytecode(false)
+                .call_prim(name, args)
+        };
+        let src = "int f(int x) { return x * 3 - 1; }";
+        assert_eq!(run_interp(src, "f", &[Val::Int(4)]).unwrap(), Val::Int(11));
         let src = "int fact(int n) { if (n <= 1) { return 1; } return n * fact(n - 1); }";
+        assert_eq!(run_interp(src, "fact", &[Val::Int(6)]).unwrap(), Val::Int(720));
         assert_eq!(run(src, "fact", &[Val::Int(6)]).unwrap(), Val::Int(720));
     }
 }

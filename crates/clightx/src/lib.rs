@@ -11,9 +11,8 @@
 //! short-circuit and loop desugaring) → [`check`] (static well-formedness)
 //! → execution. Execution has two bit-identical tiers: the tree-walking
 //! interpreter [`interp`] and the compiled tier ([`compile`] slot-resolves
-//! to [`bytecode`], run by the [`vm`]), selected per instantiation via
-//! `ccal_core::prefix::bytecode_effective` (`CCAL_BYTECODE=0` forces the
-//! interpreter).
+//! to [`bytecode`], run by the [`vm`]), selected per instantiation by the
+//! driving machine's tier (`ccal_core::explore::ExploreOptions::bytecode`).
 //!
 //! The one-call entry point is [`clightx_module`], which yields a core
 //! `Module` ready for `install`/`check_fun`:

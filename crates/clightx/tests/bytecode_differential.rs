@@ -17,6 +17,7 @@ use ccal_clightx::lower::lower_module;
 use ccal_clightx::vm::VmRun;
 use ccal_core::env::EnvContext;
 use ccal_core::event::EventKind;
+use ccal_core::fingerprint::ContentHasher;
 use ccal_core::id::Pid;
 use ccal_core::layer::{LayerInterface, PrimSpec};
 use ccal_core::machine::{LayerMachine, MachineError};
@@ -166,10 +167,10 @@ proptest! {
 }
 
 /// The tier toggle itself: `module_from_lowered` must dispatch to the VM
-/// when the override says on and to the interpreter when off, with
-/// identical observable behaviour either way.
+/// when the machine is on the compiled tier and to the interpreter when
+/// not, with identical observable behaviour either way.
 #[test]
-fn module_from_lowered_obeys_the_override() {
+fn module_from_lowered_obeys_the_machine_tier() {
     let src = r#"
         int f(int x) {
             int acc = 0;
@@ -177,16 +178,23 @@ fn module_from_lowered_obeys_the_override() {
             return acc;
         }
     "#;
+    let m = ccal_clightx::clightx_module("M", src).unwrap();
+    let extended = m.install(&tick_interface()).unwrap();
     let mut outcomes = Vec::new();
+    let mut run_fps = Vec::new();
     for on in [true, false] {
-        let _tier = ccal_core::prefix::BytecodeOverride::force(on);
-        let m = ccal_clightx::clightx_module("M", src).unwrap();
-        let extended = m.install(&tick_interface()).unwrap();
+        // A fresh run's state fingerprint names its tier (`run.vm` vs
+        // `run.c`), so it shows which constructor the tier picked.
+        let run = extended.prim("f").unwrap().instantiate(Pid(0), vec![Val::Int(3)], on);
+        let mut h = ContentHasher::new();
+        assert!(run.state_fp(&mut h));
+        run_fps.push(h.finish());
         let env = EnvContext::new(Arc::new(RoundRobinScheduler::over_domain(2)));
-        let mut machine = LayerMachine::new(extended, Pid(0), env);
+        let mut machine = LayerMachine::new(extended.clone(), Pid(0), env).with_bytecode(on);
         let res = machine.call_prim("f", &[Val::Int(3)]).unwrap();
         outcomes.push((res, format!("{}", machine.log)));
     }
+    assert_ne!(run_fps[0], run_fps[1], "both tiers instantiated the same run kind");
     assert_eq!(outcomes[0], outcomes[1], "tiers diverged");
     assert_eq!(outcomes[0].0, Val::Int(6), "1 + 2 + 3 ticks");
 }

@@ -318,7 +318,8 @@ pub struct CheckOptions {
     /// Per-primitive setup scripts (calls run on both machines before the
     /// checked invocation).
     pub setups: BTreeMap<String, Vec<(String, Vec<Val>)>>,
-    /// Low-level simulation options.
+    /// Low-level simulation options, including the exploration switches
+    /// ([`SimOptions::explore`]).
     pub sim: SimOptions,
 }
 
@@ -348,67 +349,7 @@ impl CheckOptions {
     /// Sets the worker-thread count for case-grid exploration (1 = serial).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.sim.workers = workers.max(1);
-        self
-    }
-
-    /// Enables or disables upper-run memoization across symmetric
-    /// schedules.
-    #[must_use]
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.sim.dedup = dedup;
-        self
-    }
-
-    /// Enables or disables the partial-order reduction (skipping contexts
-    /// marked trace-equivalent by [`crate::contexts::ContextGen`]).
-    #[must_use]
-    pub fn with_por(mut self, por: bool) -> Self {
-        self.sim.por = por;
-        self
-    }
-
-    /// Enables or disables prefix-sharing of lower-machine runs across
-    /// contexts with common consumed schedule prefixes (see
-    /// [`crate::prefix`]).
-    #[must_use]
-    pub fn with_prefix_share(mut self, prefix_share: bool) -> Self {
-        self.sim.prefix_share = prefix_share;
-        self
-    }
-
-    /// Enables or disables deep prefix-sharing: forking the lower machine
-    /// at every environment query point (see [`crate::prefix::SnapshotTrie`]).
-    /// Effective only when prefix-sharing is on.
-    #[must_use]
-    pub fn with_deep_share(mut self, deep_share: bool) -> Self {
-        self.sim.deep_share = deep_share;
-        self
-    }
-
-    /// Enables or disables the compiled ClightX bytecode tier (see
-    /// [`crate::prefix::bytecode_effective`]); bit-identical verdicts
-    /// either way.
-    #[must_use]
-    pub fn with_bytecode(mut self, bytecode: bool) -> Self {
-        self.sim.bytecode = bytecode;
-        self
-    }
-
-    /// Enables or disables convergence dedup (state-fingerprint suffix
-    /// caching at query-point cuts; see [`crate::explore`]); bit-identical
-    /// verdicts and evidence either way.
-    #[must_use]
-    pub fn with_state_dedup(mut self, state_dedup: bool) -> Self {
-        self.sim.state_dedup = state_dedup;
-        self
-    }
-
-    /// Bounds the query-point snapshot trie (clamped to at least 1; the
-    /// trie is cleared wholesale when full).
-    #[must_use]
-    pub fn with_snapshot_cap(mut self, cap: usize) -> Self {
-        self.sim.snapshot_cap = cap.max(1);
+        self.sim.explore.workers = workers.max(1);
         self
     }
 

@@ -225,6 +225,7 @@ pub struct ConcurrentMachine {
     focused: PidSet,
     env: EnvContext,
     fuel: u64,
+    bytecode: bool,
 }
 
 impl ConcurrentMachine {
@@ -240,12 +241,21 @@ impl ConcurrentMachine {
             focused,
             env,
             fuel: Self::DEFAULT_FUEL,
+            bytecode: true,
         }
     }
 
     /// Overrides the turn budget.
     pub fn with_fuel(mut self, fuel: u64) -> Self {
         self.fuel = fuel;
+        self
+    }
+
+    /// Selects the ClightX execution tier of every primitive the game
+    /// instantiates (compiled by default; see
+    /// [`crate::explore::ExploreOptions::bytecode`]).
+    pub fn with_bytecode(mut self, bytecode: bool) -> Self {
+        self.bytecode = bytecode;
         self
     }
 
@@ -476,7 +486,8 @@ impl ConcurrentMachine {
             if player.run.is_none() {
                 match player.script.get(player.next_call) {
                     Some((name, args)) => {
-                        let run = self.iface.prim(name)?.instantiate(pid, args.clone());
+                        let spec = self.iface.prim(name)?;
+                        let run = spec.instantiate(pid, args.clone(), self.bytecode);
                         player.run = Some(run);
                         player.next_call += 1;
                     }
@@ -493,6 +504,7 @@ impl ConcurrentMachine {
                     abs,
                     log,
                     iface: &self.iface,
+                    bytecode: self.bytecode,
                 };
                 run.resume(&mut ctx)?
             };

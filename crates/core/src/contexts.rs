@@ -65,7 +65,7 @@ impl ContextGen {
             schedule_len: 4,
             max_contexts: 256,
             fuel: EnvContext::DEFAULT_FUEL,
-            por: por::por_enabled(),
+            por: true,
             family: prefix::next_family(),
             pinned: false,
         }
@@ -117,8 +117,7 @@ impl ContextGen {
     }
 
     /// Enables or disables partial-order-reduction marking (see
-    /// [`crate::por`]). Defaults to [`por::por_enabled`] — on unless the
-    /// process was started with `CCAL_POR=0`.
+    /// [`crate::por`]). On by default.
     pub fn with_por(mut self, por: bool) -> Self {
         self.por = por;
         self

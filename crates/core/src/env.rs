@@ -149,7 +149,7 @@ impl EnvContext {
     }
 
     /// Whether a lower-indexed trace-equivalent context exists, so a
-    /// checker with [`crate::por::por_enabled`] reduction may skip this one
+    /// checker with [`crate::explore::ExploreOptions::por`] on may skip this one
     /// without changing its verdict.
     pub fn is_por_equivalent(&self) -> bool {
         self.por_equivalent

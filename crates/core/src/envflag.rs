@@ -1,21 +1,20 @@
 //! Shared `CCAL_*` environment-flag parsing.
 //!
-//! Every process-wide tunable in the toolkit — `CCAL_POR`,
-//! `CCAL_PREFIX_SHARE`, `CCAL_PREFIX_DEEP`, `CCAL_BYTECODE`, and the
-//! numeric `CCAL_WORKERS` — accepts the same value grammar:
+//! Exploration switches are not environment flags: they are fields of
+//! [`crate::explore::ExploreOptions`], passed to each check. The few
+//! process-wide tunables left — `CCAL_SHARE_SEMANTIC`, the numeric
+//! `CCAL_WORKERS` default and certd's `CCAL_CERTD_*` settings — accept the
+//! same value grammar:
 //!
 //! * unset — the flag's default applies;
-//! * `0` — the flag is off (the differential-debugging escape hatch);
+//! * `0` — the flag is off;
 //! * any other non-negative integer — the flag is on;
 //! * anything else — a warning is printed to stderr **once per flag name**
 //!   and the variable is ignored (the default applies).
 //!
-//! The grammar used to be copy-pasted per flag (five private
-//! `parse_*`/`warn_*_once` pairs across `par`, `por` and `prefix`), which
-//! let parsing behavior drift as flags were added. [`bool_flag`] is the
-//! single implementation every boolean flag now routes through, and
-//! [`warn_ignored`] is the one warn-once path shared with the numeric
-//! `CCAL_WORKERS` parser.
+//! [`bool_flag`] is the single implementation boolean flags route
+//! through, and [`warn_ignored`] is the one warn-once path shared with
+//! the numeric parsers.
 
 use std::collections::HashMap;
 use std::collections::HashSet;

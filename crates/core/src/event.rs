@@ -313,7 +313,8 @@ pub fn independent(a: &Event, b: &Event) -> bool {
 /// reads against each other — which POR's location-level footprints must
 /// conservatively order. Like footprint declarations, each listed pair is
 /// a soundness claim about the replay functions and strategies consuming
-/// the events; the `CCAL_STATE_DEDUP=0` hatch turns the consumer off.
+/// the events; `ExploreOptions::state_dedup = false` turns the consumer
+/// off.
 pub fn replay_commutes(a: &Event, b: &Event) -> bool {
     if a.pid == b.pid {
         return false;

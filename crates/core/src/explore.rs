@@ -37,16 +37,17 @@
 //! service-mode re-certification) get sharing, pruning, parallelism and
 //! capture for free.
 //!
-//! The `CCAL_KERNEL=0` escape hatch kept the pre-kernel per-checker paths
-//! alive while the port was validated differentially
-//! (`tests/kernel_differential.rs`); those paths were deleted once the
-//! differential passed — see [`kernel_enabled`].
+//! Every switch of a run — workers, reduction, sharing layers, the
+//! convergence cache and the ClightX execution tier — is a field of the
+//! [`ExploreOptions`] value the caller passes in; nothing on the check
+//! path reads process state, so concurrent checks with different options
+//! cannot observe each other.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::conc::{ConcurrentMachine, ConcurrentOutcome, GameState, ThreadScript};
 use crate::env::EnvContext;
@@ -56,32 +57,13 @@ use crate::log::Log;
 use crate::machine::{LayerMachine, MachineError};
 use crate::prefix::{ForkSnapshot, PrefixMemo, ScheduleKey, SnapshotTrie};
 
-/// Whether the unified exploration kernel is in use — always `true`.
-///
-/// `CCAL_KERNEL=0` was the escape hatch that kept the pre-kernel checker
-/// paths alive while the port was validated by
-/// `tests/kernel_differential.rs`; those paths were deleted once the
-/// differential passed, so the flag no longer selects anything. Setting it
-/// to `0` warns once (so stale CI configurations fail loudly instead of
-/// silently diverging) and is otherwise ignored.
-pub fn kernel_enabled() -> bool {
-    if !crate::envflag::bool_flag("CCAL_KERNEL", true) {
-        static WARNED: OnceLock<()> = OnceLock::new();
-        WARNED.get_or_init(|| {
-            eprintln!(
-                "ccal: CCAL_KERNEL=0 is obsolete — the pre-kernel checker paths \
-                 were removed once the kernel differential passed; the unified \
-                 exploration kernel is always used"
-            );
-        });
-    }
-    true
-}
-
-/// The exploration knobs every checker shares. Mirrors the sharing-related
-/// subset of [`crate::sim::SimOptions`]; the verifier checkers build it
-/// from their `_tuned` parameters.
-#[derive(Debug, Clone)]
+/// The exploration switches of one bounded check, passed explicitly to
+/// every checker ([`crate::sim::SimOptions::explore`], the verifiers'
+/// `check_*_with`). The defaults are constant — every layer on, the
+/// compiled tier, the whole grid — except `workers`, which follows
+/// [`crate::par::default_workers`]. No switch changes a verdict or its
+/// evidence; the differential suites pin that for each one.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreOptions {
     /// Worker threads exploring the case grid (1 = serial).
     pub workers: usize,
@@ -114,35 +96,25 @@ pub struct ExploreOptions {
     /// Independent of `prefix_share` — it collapses *diamonds* (different
     /// prefixes, same state), not shared prefixes.
     pub state_dedup: bool,
+    /// Run ClightX primitives on the compiled bytecode tier instead of
+    /// the tree-walking interpreter. The machines a check builds carry
+    /// the choice into every primitive instantiation
+    /// ([`crate::layer::PrimSpec::instantiate`]); the tiers are
+    /// bit-identical in events, queries, return values and error strings.
+    pub bytecode: bool,
 }
 
 impl Default for ExploreOptions {
     fn default() -> Self {
         Self {
             workers: crate::par::default_workers(),
-            por: crate::por::por_enabled(),
-            prefix_share: crate::prefix::prefix_share_enabled(),
-            deep_share: crate::prefix::prefix_deep_enabled(),
+            por: true,
+            prefix_share: true,
+            deep_share: true,
             snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
             window: None,
-            state_dedup: crate::prefix::state_dedup_effective(),
-        }
-    }
-}
-
-impl ExploreOptions {
-    /// The options the verifier checkers' `_tuned` variants expose:
-    /// explicit workers/POR/sharing, default snapshot cap, whole grid,
-    /// convergence dedup from the effective process-wide flag.
-    pub fn tuned(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> Self {
-        Self {
-            workers,
-            por,
-            prefix_share,
-            deep_share,
-            snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
-            window: None,
-            state_dedup: crate::prefix::state_dedup_effective(),
+            state_dedup: true,
+            bytecode: true,
         }
     }
 }
@@ -220,6 +192,7 @@ pub struct Kernel<S, T> {
     share: bool,
     deep: bool,
     window: Option<(usize, usize)>,
+    bytecode: bool,
     /// The convergence cache: canonical state fingerprint + remaining
     /// schedule suffix → the suffix's outcome. Per-kernel by default;
     /// caller-owned (warm across invocations) via
@@ -287,7 +260,6 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
         snapshots: std::sync::Arc<SnapshotTrie<S>>,
         conv: Option<std::sync::Arc<BoundedCache<ConvKey, (T, usize, usize)>>>,
     ) -> Self {
-        let _ = kernel_enabled();
         let share = opts.prefix_share;
         let conv = opts.state_dedup.then(|| conv).flatten();
         Self {
@@ -298,6 +270,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
             share,
             deep: share && opts.deep_share,
             window: opts.window,
+            bytecode: opts.bytecode,
             conv_hits_base: conv.as_ref().map_or(0, |c| c.hits()),
             conv_evictions_base: conv.as_ref().map_or(0, |c| c.evictions()),
             conv,
@@ -500,6 +473,9 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
             None => (0, total),
         };
         let span = hi - lo;
+        // Decided on the calling thread: only a check started by the
+        // thread that opened the capture scope records into it.
+        let capture = crate::forensics::capturing();
         let run_case = |widx: usize| -> Case<D, E> {
             let idx = lo + widx;
             let (ci, inner) = (idx / ninner, idx % ninner);
@@ -509,7 +485,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
                 return Case::Reduced;
             }
             let outcome = run(ci, inner);
-            if crate::forensics::capturing() {
+            if capture {
                 if let Case::Failed(f) = &outcome {
                     crate::forensics::record(crate::forensics::FailingCase {
                         checker,
@@ -602,7 +578,8 @@ impl Kernel<GameState, GameRun> {
             let key = self.deep_key(env);
             let conv_key = self.conv_key(env);
             let machine = ConcurrentMachine::new(iface.clone(), focused.clone(), env.clone())
-                .with_fuel(fuel);
+                .with_fuel(fuel)
+                .with_bytecode(self.bytecode);
             if key.is_none() && conv_key.is_none() {
                 let (res, log) = machine.run_traced(programs);
                 crate::prefix::record_steps(log.len() as u64);
@@ -845,11 +822,6 @@ mod tests {
     use crate::id::Pid;
 
     #[test]
-    fn kernel_is_always_enabled_and_the_hatch_is_recognized() {
-        assert!(kernel_enabled());
-    }
-
-    #[test]
     fn bounded_cache_hits_and_caps() {
         let cache: BoundedCache<&'static str, i32> = BoundedCache::new(2);
         cache.insert("a", 1, 10);
@@ -1035,6 +1007,16 @@ mod tests {
         }
     }
 
+    fn opts(workers: usize, prefix_share: bool) -> ExploreOptions {
+        ExploreOptions {
+            workers,
+            por: false,
+            prefix_share,
+            deep_share: false,
+            ..ExploreOptions::default()
+        }
+    }
+
     fn grid(len: usize) -> Vec<EnvContext> {
         ContextGen::new(vec![Pid(0), Pid(1)])
             .with_schedule_len(len)
@@ -1044,7 +1026,7 @@ mod tests {
     #[test]
     fn explore_folds_in_index_order_and_short_circuits() {
         let contexts = grid(2);
-        let opts = ExploreOptions::tuned(1, false, false, false);
+        let opts = opts(1, false);
         let kernel: Kernel<NoSnap, ()> = Kernel::new(&opts);
         let explored = kernel.explore("test", &contexts, 1, |ci, _| {
             if ci == 2 {
@@ -1068,10 +1050,10 @@ mod tests {
                 Case::Checked(ci)
             }
         };
-        let serial = Kernel::<NoSnap, ()>::new(&ExploreOptions::tuned(1, false, true, false))
+        let serial = Kernel::<NoSnap, ()>::new(&opts(1, true))
             .explore("test", &contexts, 1, run);
         for workers in [2, 4] {
-            let par = Kernel::<NoSnap, ()>::new(&ExploreOptions::tuned(workers, false, true, false))
+            let par = Kernel::<NoSnap, ()>::new(&opts(workers, true))
                 .explore("test", &contexts, 1, run);
             assert_eq!(serial.cases_checked, par.cases_checked);
             assert_eq!(serial.checked, par.checked);
@@ -1082,7 +1064,7 @@ mod tests {
     #[test]
     fn run_shared_memoizes_per_consumed_prefix() {
         let contexts = grid(2);
-        let opts = ExploreOptions::tuned(1, false, true, false);
+        let opts = opts(1, true);
         let kernel: Kernel<NoSnap, u32> = Kernel::new(&opts);
         let mut executions = 0_u32;
         for env in &contexts {

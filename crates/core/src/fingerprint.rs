@@ -272,11 +272,11 @@ pub fn share_key(
     h.u64("fuel", opts.fuel);
     h.bool("compare_rets", opts.compare_rets);
     h.bool("dedup", opts.dedup);
-    h.bool("prefix_share", opts.prefix_share);
-    h.bool("deep_share", opts.deep_share);
-    h.bool("bytecode", opts.bytecode);
-    h.bool("state_dedup", opts.state_dedup);
-    h.usize("snapshot_cap", opts.snapshot_cap);
+    h.bool("prefix_share", opts.explore.prefix_share);
+    h.bool("deep_share", opts.explore.deep_share);
+    h.bool("bytecode", opts.explore.bytecode);
+    h.bool("state_dedup", opts.explore.state_dedup);
+    h.usize("snapshot_cap", opts.explore.snapshot_cap);
     h.usize("upper_cache_cap", opts.upper_cache_cap);
     ShareKey(h.finish())
 }

@@ -8,22 +8,25 @@
 //! 1-minimal counterexample, and replays it deterministically. This module
 //! holds the core-side half of that pipeline:
 //!
-//! * a process-global **capture scope**: while a [`CaptureScope`] is alive,
-//!   every checker records its failing cases (grid index, context index,
-//!   the concrete machine log at the failure, and the reason) via
-//!   [`record`]. Outside a scope, [`record`] is a single relaxed atomic
-//!   load — ordinary verification runs pay nothing.
+//! * a **capture scope**: while a [`CaptureScope`] is alive, every check
+//!   started on the thread that opened it records its failing cases (grid
+//!   index, context index, the concrete machine log at the failure, and
+//!   the reason) via [`record`]. Outside a scope, [`capturing`] is a
+//!   thread-local read — ordinary verification runs pay nothing.
 //! * [`ShrinkNote`] — the shrink-accounting record (original vs. minimized
 //!   steps, oracle iterations) that [`crate::calculus::Certificate`] and
 //!   the verifier's report rendering carry alongside ordinary obligations.
 //!
 //! The capture scope is exclusive: scopes serialize on a process-global
-//! lock so that concurrently running checks (e.g. parallel tests) cannot
-//! interleave their captures. The checkers themselves may still run their
-//! case grids on many workers inside one scope; captures are indexed by
-//! grid case index and sorted on [`CaptureScope::take`], so the
-//! *index-least* capture is the same first failure the checker reported.
+//! lock, and only the opening thread's checks record, so concurrently
+//! running checks (e.g. parallel tests) cannot interleave their captures.
+//! A checker decides once, on its calling thread, whether it captures
+//! ([`capturing`]); its case grid may still run on many workers, whose
+//! captures are indexed by grid case index and sorted on
+//! [`CaptureScope::take`], so the *index-least* capture is the same first
+//! failure the checker reported.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -62,21 +65,28 @@ fn captured() -> &'static Mutex<Vec<FailingCase>> {
     CAPTURED.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+thread_local! {
+    /// Whether this thread opened the active capture scope.
+    static OWNER: Cell<bool> = const { Cell::new(false) };
+}
+
 fn gate() -> &'static Mutex<()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
     GATE.get_or_init(|| Mutex::new(()))
 }
 
-/// Whether a capture scope is currently active. Checkers guard the (log
-/// clone) cost of building a [`FailingCase`] behind this.
+/// Whether the calling thread opened the active capture scope. Checkers
+/// ask once, on the thread that called them, and record their workers'
+/// failures only if so; this also guards the (log clone) cost of
+/// building a [`FailingCase`].
 pub fn capturing() -> bool {
-    active().load(Ordering::Relaxed)
+    OWNER.with(Cell::get) && active().load(Ordering::Relaxed)
 }
 
 /// Records a failing case into the active capture scope. A no-op when no
 /// scope is active.
 pub fn record(case: FailingCase) {
-    if !capturing() {
+    if !active().load(Ordering::Relaxed) {
         return;
     }
     captured()
@@ -85,9 +95,9 @@ pub fn record(case: FailingCase) {
         .push(case);
 }
 
-/// An exclusive failure-capture scope. While alive, checker failures are
-/// recorded process-wide; dropping (or [`CaptureScope::take`]) ends the
-/// scope and clears the buffer.
+/// An exclusive failure-capture scope. While alive, the failures of
+/// checks started on the opening thread are recorded; dropping (or
+/// [`CaptureScope::take`]) ends the scope and clears the buffer.
 pub struct CaptureScope {
     _gate: MutexGuard<'static, ()>,
 }
@@ -102,6 +112,7 @@ impl CaptureScope {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clear();
         active().store(true, Ordering::Relaxed);
+        OWNER.with(|o| o.set(true));
         Self { _gate: guard }
     }
 
@@ -122,6 +133,7 @@ impl CaptureScope {
 
 impl Drop for CaptureScope {
     fn drop(&mut self) {
+        OWNER.with(|o| o.set(false));
         active().store(false, Ordering::Relaxed);
         captured()
             .lock()

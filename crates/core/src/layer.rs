@@ -55,6 +55,9 @@ pub struct PrimCtx<'a> {
     /// The interface this computation runs over (its *underlay* when the
     /// computation is module code).
     pub iface: &'a LayerInterface,
+    /// The ClightX execution tier of the driving machine, handed to every
+    /// primitive this computation instantiates ([`PrimSpec::instantiate`]).
+    pub bytecode: bool,
 }
 
 impl PrimCtx<'_> {
@@ -73,7 +76,7 @@ impl PrimCtx<'_> {
     /// primitive.
     pub fn start_call(&self, name: &str, args: Vec<Val>) -> Result<Box<dyn PrimRun>, MachineError> {
         let spec = self.iface.prim(name)?;
-        Ok(spec.instantiate(self.pid, args))
+        Ok(spec.instantiate(self.pid, args, self.bytecode))
     }
 }
 
@@ -256,7 +259,9 @@ impl fmt::Debug for SubCall {
 }
 
 type PrimBody = dyn Fn(&mut PrimCtx<'_>, &[Val]) -> Result<Val, MachineError> + Send + Sync;
-type PrimFactory = dyn Fn(Pid, Vec<Val>) -> Box<dyn PrimRun> + Send + Sync;
+/// Creates a run from `(pid, args, bytecode)`; only [`PrimSpec::tiered`]
+/// factories read the tier.
+type PrimFactory = dyn Fn(Pid, Vec<Val>, bool) -> Box<dyn PrimRun> + Send + Sync;
 
 /// The specification of one layer primitive: its name, whether it is
 /// *shared* (observable — it generates events and is preceded by a query
@@ -346,7 +351,7 @@ impl PrimSpec {
         Self {
             name: name.to_owned(),
             shared,
-            factory: Arc::new(move |_pid, args| {
+            factory: Arc::new(move |_pid, args, _bytecode| {
                 Box::new(AtomicRun {
                     queried: false,
                     needs_query,
@@ -367,7 +372,28 @@ impl PrimSpec {
         Self {
             name: name.to_owned(),
             shared,
-            factory: Arc::new(factory),
+            factory: Arc::new(move |pid, args, _bytecode| factory(pid, args)),
+        }
+    }
+
+    /// A primitive with one resumable implementation per execution tier:
+    /// `vm` runs when the instantiating machine is on the compiled tier,
+    /// `interp` otherwise. The two must be observably identical.
+    pub fn tiered<V, I>(name: &str, shared: bool, vm: V, interp: I) -> Self
+    where
+        V: Fn(Pid, Vec<Val>) -> Box<dyn PrimRun> + Send + Sync + 'static,
+        I: Fn(Pid, Vec<Val>) -> Box<dyn PrimRun> + Send + Sync + 'static,
+    {
+        Self {
+            name: name.to_owned(),
+            shared,
+            factory: Arc::new(move |pid, args, bytecode| {
+                if bytecode {
+                    vm(pid, args)
+                } else {
+                    interp(pid, args)
+                }
+            }),
         }
     }
 
@@ -382,9 +408,10 @@ impl PrimSpec {
     }
 
     /// Creates a fresh run of this primitive for participant `pid` with
-    /// the given arguments.
-    pub fn instantiate(&self, pid: Pid, args: Vec<Val>) -> Box<dyn PrimRun> {
-        (self.factory)(pid, args)
+    /// the given arguments, on the compiled tier when `bytecode` is set
+    /// (only [`PrimSpec::tiered`] primitives distinguish the tiers).
+    pub fn instantiate(&self, pid: Pid, args: Vec<Val>, bytecode: bool) -> Box<dyn PrimRun> {
+        (self.factory)(pid, args, bytecode)
     }
 }
 
@@ -588,12 +615,13 @@ mod tests {
         let iface = counter_iface();
         let mut abs = AbsState::new();
         let mut log = Log::new();
-        let mut run = iface.prim("tick").unwrap().instantiate(Pid(0), vec![]);
+        let mut run = iface.prim("tick").unwrap().instantiate(Pid(0), vec![], true);
         let mut ctx = PrimCtx {
             pid: Pid(0),
             abs: &mut abs,
             log: &mut log,
             iface: &iface,
+            bytecode: true,
         };
         // First resume hits the query point.
         assert!(matches!(run.resume(&mut ctx).unwrap(), PrimStep::Query));
@@ -619,12 +647,13 @@ mod tests {
         let mut run = iface
             .prim("push")
             .unwrap()
-            .instantiate(Pid(1), vec![Val::Loc(Loc(0))]);
+            .instantiate(Pid(1), vec![Val::Loc(Loc(0))], true);
         let mut ctx = PrimCtx {
             pid: Pid(1),
             abs: &mut abs,
             log: &mut log,
             iface: &iface,
+            bytecode: true,
         };
         assert!(matches!(run.resume(&mut ctx).unwrap(), PrimStep::Done(_)));
     }
@@ -650,6 +679,7 @@ mod tests {
             abs: &mut abs,
             log: &mut log,
             iface: &iface,
+            bytecode: true,
         };
         let mut sub = SubCall::start(&ctx, "tick", vec![]).unwrap();
         assert_eq!(sub.step(&mut ctx).unwrap(), None, "query point bubbles");

@@ -115,8 +115,8 @@ pub mod prelude {
     pub use crate::log::Log;
     pub use crate::machine::{LayerMachine, MachineError};
     pub use crate::module::{Lang, Module, ModuleFn};
-    pub use crate::por::{por_enabled, PidIndependence};
-    pub use crate::prefix::{prefix_share_enabled, PrefixMemo, ScheduleKey};
+    pub use crate::por::PidIndependence;
+    pub use crate::prefix::{PrefixMemo, ScheduleKey};
     pub use crate::refine::{behaviors, check_contextual_refinement, ClientProgram};
     pub use crate::rely::{Conditions, Invariant, ProbeSuite, RelyGuarantee};
     pub use crate::replay::{

@@ -169,6 +169,7 @@ pub struct LayerMachine {
     pub log: Log,
     fuel: u64,
     budget: u64,
+    bytecode: bool,
 }
 
 impl LayerMachine {
@@ -189,7 +190,16 @@ impl LayerMachine {
             log: Log::new(),
             fuel: Self::DEFAULT_FUEL,
             budget: Self::DEFAULT_FUEL,
+            bytecode: true,
         }
+    }
+
+    /// Selects the ClightX execution tier of every primitive this machine
+    /// instantiates (compiled by default; see
+    /// [`crate::explore::ExploreOptions::bytecode`]).
+    pub fn with_bytecode(mut self, bytecode: bool) -> Self {
+        self.bytecode = bytecode;
+        self
     }
 
     /// Overrides the step budget.
@@ -306,7 +316,7 @@ impl LayerMachine {
     /// Any [`MachineError`] arising from the primitive, the environment, or
     /// a guarantee violation.
     pub fn call_prim(&mut self, name: &str, args: &[Val]) -> Result<Val, MachineError> {
-        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec());
+        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec(), self.bytecode);
         self.drive(run)
     }
 
@@ -325,6 +335,7 @@ impl LayerMachine {
                     abs: &mut self.abs,
                     log: &mut self.log,
                     iface: &self.iface,
+                    bytecode: self.bytecode,
                 };
                 run.resume(&mut ctx)?
             };
@@ -357,7 +368,7 @@ impl LayerMachine {
         args: &[Val],
         hook: &mut dyn FnMut(&Self, &dyn PrimRun),
     ) -> Result<Val, MachineError> {
-        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec());
+        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec(), self.bytecode);
         self.drive_with_snapshots(run, hook)
     }
 
@@ -380,7 +391,7 @@ impl LayerMachine {
         args: &[Val],
         hook: &mut dyn FnMut(&Self, &dyn PrimRun) -> bool,
     ) -> Result<Option<Val>, MachineError> {
-        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec());
+        let run = self.iface.prim(name)?.instantiate(self.pid, args.to_vec(), self.bytecode);
         self.drive_ctl(run, hook)
     }
 
@@ -425,6 +436,7 @@ impl LayerMachine {
                     abs: &mut self.abs,
                     log: &mut self.log,
                     iface: &self.iface,
+                    bytecode: self.bytecode,
                 };
                 run.resume(&mut ctx)?
             };

@@ -38,18 +38,6 @@ use crate::event::EventKind;
 use crate::id::Pid;
 use crate::strategy::Strategy;
 
-/// Whether partial-order reduction is enabled for this process.
-///
-/// Controlled by the `CCAL_POR` environment variable with the shared
-/// `CCAL_*` grammar ([`crate::envflag`]): unset or any non-zero integer —
-/// the reduction is on (the default); `0` — the reduction is off (the
-/// escape hatch for differential debugging); garbage warns once and is
-/// ignored. The variable is read once and cached for the lifetime of the
-/// process.
-pub fn por_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_POR", true)
-}
-
 /// The independence relation lifted from events to scheduler-domain pids.
 ///
 /// Built once per grid from the players' declared alphabets; symmetric and
@@ -280,9 +268,6 @@ mod tests {
         }
         classes
     }
-
-    // The CCAL_POR value grammar is the shared one — its unset/0/1/garbage
-    // behavior is covered by `crate::envflag::tests`.
 
     #[test]
     fn two_independent_letters_give_three_of_four_words() {

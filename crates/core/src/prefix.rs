@@ -46,10 +46,9 @@
 //! [`ScheduleKey`]; hand-built contexts (notably the forensics replay
 //! engine's scripted contexts) have none and structurally bypass the memo.
 //!
-//! `CCAL_PREFIX_SHARE=0` is the process-wide escape hatch, mirroring
-//! `CCAL_POR` ([`crate::por::por_enabled`]); `CCAL_PREFIX_DEEP=0`
-//! additionally disables only the query-point snapshot layer, keeping
-//! PR-4-style whole-outcome sharing on.
+//! Both layers are switched per check by
+//! [`crate::explore::ExploreOptions::prefix_share`] and
+//! [`crate::explore::ExploreOptions::deep_share`].
 //!
 //! [`ScriptScheduler`]: crate::strategy::ScriptScheduler
 
@@ -59,147 +58,15 @@ use std::sync::Mutex;
 
 use crate::id::Pid;
 
-/// Whether prefix-sharing is enabled for this process.
-///
-/// Controlled by the `CCAL_PREFIX_SHARE` environment variable with the
-/// shared `CCAL_*` grammar ([`crate::envflag`]): unset or any non-zero
-/// integer — sharing on (the default); `0` — sharing off (the escape hatch
-/// for differential debugging); garbage warns once and is ignored. The
-/// variable is read once and cached for the lifetime of the process.
-pub fn prefix_share_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_PREFIX_SHARE", true)
-}
-
-/// Whether query-point (deep) snapshot sharing is enabled for this
-/// process. Same grammar and caching as [`prefix_share_enabled`], read
-/// from `CCAL_PREFIX_DEEP`. Deep sharing is additionally subordinate to
-/// prefix sharing: checkers only consult the snapshot trie when both are
-/// on.
-pub fn prefix_deep_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_PREFIX_DEEP", true)
-}
-
-/// Whether the compiled ClightX bytecode tier is enabled by this process's
-/// environment. Same grammar and caching as [`prefix_share_enabled`], read
-/// from `CCAL_BYTECODE`: unset or any non-zero integer — compiled tier on
-/// (the default); `0` — interpret everything (the differential-debugging
-/// escape hatch). Checkers install a scoped override on top of this via
-/// [`BytecodeOverride`]; instantiation sites should consult
-/// [`bytecode_effective`], not this function.
-pub fn bytecode_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_BYTECODE", true)
-}
-
-/// Scoped override of the bytecode tier: -1 = no override (fall back to
-/// [`bytecode_enabled`]), 0 = force interpreter, 1 = force compiled.
-/// Strategy closures are built long before any checker decides its
-/// options, so the tier must be read at *instantiation* time; the checkers
-/// install their [`crate::sim::SimOptions`] choice here for the duration
-/// of a check.
-fn bytecode_override() -> &'static AtomicI8 {
-    static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-    &OVERRIDE
-}
-
-/// The bytecode-tier choice in effect right now: the innermost
-/// [`BytecodeOverride`] if one is live, else the `CCAL_BYTECODE`
-/// environment default. Strategy instantiation sites (notably
-/// `ccal_clightx::module_from_lowered`'s closures) consult this on every
-/// call, so one compiled module serves both tiers.
-pub fn bytecode_effective() -> bool {
-    match bytecode_override().load(Ordering::Relaxed) {
-        -1 => bytecode_enabled(),
-        0 => false,
-        _ => true,
-    }
-}
-
-/// RAII guard forcing the bytecode tier on or off process-wide until
-/// dropped. Overrides do not nest meaningfully — the guard restores the
-/// value it displaced, and concurrent checker runs with *different* tier
-/// choices would race (the benchmarks and differential tests that toggle
-/// the tier run checks serially).
-pub struct BytecodeOverride {
-    prev: i8,
-}
-
-impl BytecodeOverride {
-    /// Forces the tier to `on` until the guard drops.
-    pub fn force(on: bool) -> Self {
-        let prev = bytecode_override().swap(i8::from(on), Ordering::Relaxed);
-        Self { prev }
-    }
-}
-
-impl Drop for BytecodeOverride {
-    fn drop(&mut self) {
-        bytecode_override().store(self.prev, Ordering::Relaxed);
-    }
-}
-
-/// Whether convergence deduplication — the canonical-state-fingerprint
-/// suffix cache in [`crate::explore::Kernel`] — is enabled by this
-/// process's environment. Same grammar and caching as
-/// [`prefix_share_enabled`], read from `CCAL_STATE_DEDUP`: unset or any
-/// non-zero integer — dedup on (the default); `0` — every context executes
-/// its full suffix (the differential-debugging escape hatch). Consumers
-/// should consult [`state_dedup_effective`], which also honors scoped
-/// [`StateDedupOverride`] guards.
-pub fn state_dedup_enabled() -> bool {
-    crate::envflag::bool_flag("CCAL_STATE_DEDUP", true)
-}
-
-/// Scoped override of convergence dedup: -1 = no override (fall back to
-/// [`state_dedup_enabled`]), 0 = force off, 1 = force on. The forensics
-/// replay engine forces dedup off so replays re-execute every recorded
-/// step, and the B7 benchmark forces each side of its ratio.
-fn state_dedup_override() -> &'static AtomicI8 {
-    static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-    &OVERRIDE
-}
-
-/// The convergence-dedup choice in effect right now: the innermost
-/// [`StateDedupOverride`] if one is live, else the `CCAL_STATE_DEDUP`
-/// environment default.
-pub fn state_dedup_effective() -> bool {
-    match state_dedup_override().load(Ordering::Relaxed) {
-        -1 => state_dedup_enabled(),
-        0 => false,
-        _ => true,
-    }
-}
-
-/// RAII guard forcing convergence dedup on or off process-wide until
-/// dropped, with the same (non-)nesting discipline as
-/// [`BytecodeOverride`]: the guard restores the value it displaced, and
-/// concurrent runs wanting different choices would race.
-pub struct StateDedupOverride {
-    prev: i8,
-}
-
-impl StateDedupOverride {
-    /// Forces convergence dedup to `on` until the guard drops.
-    pub fn force(on: bool) -> Self {
-        let prev = state_dedup_override().swap(i8::from(on), Ordering::Relaxed);
-        Self { prev }
-    }
-}
-
-impl Drop for StateDedupOverride {
-    fn drop(&mut self) {
-        state_dedup_override().store(self.prev, Ordering::Relaxed);
-    }
-}
-
 /// Whether **semantic sharing keys** are enabled by this process's
 /// environment: warm exploration state keyed by the content identity of
 /// the lower-machine family ([`crate::fingerprint::ShareKey`]) instead of
 /// being pinned to each certification unit's whole-input fingerprint, so
 /// units of one stack and successive requests over the same underlay
-/// share one `PrefixMemo`/`SnapshotTrie`/convergence store. Same grammar
-/// and caching as [`prefix_share_enabled`], read from
-/// `CCAL_SHARE_SEMANTIC`: unset or any non-zero integer — semantic keys on
-/// (the default); `0` — per-unit pinned families (the
+/// share one `PrefixMemo`/`SnapshotTrie`/convergence store. Read once
+/// from `CCAL_SHARE_SEMANTIC` with the shared grammar
+/// ([`crate::envflag::bool_flag`]): unset or any non-zero integer —
+/// semantic keys on (the default); `0` — per-unit pinned families (the
 /// differential-debugging escape hatch), warned once so stale CI configs
 /// fail loudly. Consumers should consult [`share_semantic_effective`],
 /// which also honors scoped [`ShareSemanticOverride`] guards.
@@ -239,9 +106,9 @@ pub fn share_semantic_effective() -> bool {
 }
 
 /// RAII guard forcing semantic sharing keys on or off process-wide until
-/// dropped, with the same (non-)nesting discipline as
-/// [`BytecodeOverride`]: the guard restores the value it displaced, and
-/// concurrent runs wanting different choices would race.
+/// dropped. Overrides do not nest meaningfully — the guard restores the
+/// value it displaced, and concurrent runs wanting different choices
+/// would race.
 pub struct ShareSemanticOverride {
     prev: i8,
 }

@@ -33,8 +33,8 @@
 //!
 //! The `(context × argument-vector)` grid is explored by the unified
 //! exploration kernel ([`crate::explore::Kernel`]): a shared atomic work
-//! queue over `std::thread::scope` workers ([`SimOptions::workers`],
-//! overridable with `CCAL_WORKERS`), folding outcomes in case order so the
+//! queue over `std::thread::scope` workers
+//! ([`ExploreOptions::workers`]), folding outcomes in case order so the
 //! result — the evidence, the probe order, and the *first* failure — is
 //! bit-identical to the serial exploration. Additionally, symmetric
 //! schedules are
@@ -46,9 +46,9 @@
 //!
 //! Symmetrically, *lower* runs are shared across contexts whose schedule
 //! scripts agree on the prefix the run actually consumes
-//! ([`SimOptions::prefix_share`], see [`crate::prefix`]): the grid is a
-//! schedule-prefix trie, and each distinct consumed prefix is executed
-//! once. With [`SimOptions::deep_share`] the trie additionally stores a
+//! ([`ExploreOptions::prefix_share`], see [`crate::prefix`]): the grid is
+//! a schedule-prefix trie, and each distinct consumed prefix is executed
+//! once. With [`ExploreOptions::deep_share`] the trie additionally stores a
 //! forked [`LayerMachine`] snapshot at *every* environment query point —
 //! inside the setup phase, at each query of the checked call, and at its
 //! pre-flush return — so a new context resumes from its deepest
@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::env::EnvContext;
 use crate::event::Event;
-use crate::explore::Case;
+use crate::explore::{Case, ExploreOptions};
 use crate::id::Pid;
 use crate::layer::{LayerInterface, PrimRun};
 use crate::log::Log;
@@ -341,56 +341,11 @@ pub struct SimOptions {
     /// initial logs (e.g. a lock `rel` is checked from states reached by
     /// a preceding `acq`).
     pub setup: Vec<(String, Vec<Val>)>,
-    /// Worker threads exploring the case grid. Defaults to
-    /// [`crate::par::default_workers`] (the `CCAL_WORKERS` environment
-    /// variable, else the machine's available parallelism). `1` explores
-    /// serially; any value yields bit-identical results.
-    pub workers: usize,
     /// Memoize upper-machine runs keyed on the replayed abstract event
     /// sequence and argument vector, so symmetric schedules — contexts
     /// whose logs abstract to the same upper environment — are explored
     /// once. Never changes the verdict or the evidence; on by default.
     pub dedup: bool,
-    /// Skip contexts marked [`EnvContext::is_por_equivalent`] by the
-    /// partial-order reduction — trace-equivalent to a lower-indexed
-    /// context whose verdict subsumes theirs. Defaults to
-    /// [`crate::por::por_enabled`] (on unless `CCAL_POR=0`).
-    pub por: bool,
-    /// Share lower-machine runs across contexts whose schedule scripts
-    /// agree on the consumed prefix (see [`crate::prefix`]): the lower run
-    /// is a deterministic function of the schedule slots it actually reads,
-    /// so a grid of `n^L` contexts executes only one run per *distinct
-    /// consumed prefix*. Never changes the verdict or the evidence.
-    /// Defaults to [`crate::prefix::prefix_share_enabled`] (on unless
-    /// `CCAL_PREFIX_SHARE=0`).
-    pub prefix_share: bool,
-    /// Additionally share *mid-run* snapshots of the lower machine, forked
-    /// at every environment query point ([`crate::prefix::SnapshotTrie`]):
-    /// a long multi-query primitive (e.g. a spinning `acq`) executes once
-    /// along each distinct schedule path, and every context that diverges
-    /// later forks the deepest snapshot and replays only its suffix.
-    /// Effective only when `prefix_share` is on; never changes the verdict
-    /// or the evidence. Defaults to
-    /// [`crate::prefix::prefix_deep_enabled`] (on unless
-    /// `CCAL_PREFIX_DEEP=0`).
-    pub deep_share: bool,
-    /// Run ClightX primitives on the compiled bytecode tier
-    /// ([`crate::prefix::bytecode_effective`]): modules are slot-resolved
-    /// and flattened once at lower time, and each instantiation executes
-    /// the flat code instead of walking the statement tree. The tier is
-    /// bit-identical to the interpreter — same events, queries, return
-    /// values, and error strings — so this is purely a performance knob.
-    /// Defaults to [`crate::prefix::bytecode_enabled`] (on unless
-    /// `CCAL_BYTECODE=0`). The checker installs the choice process-wide
-    /// for the duration of the check when it differs from the
-    /// environment default, so concurrent checks with *conflicting*
-    /// explicit tiers must be serialized by the caller.
-    pub bytecode: bool,
-    /// Capacity cap on the query-point snapshot trie, with the same
-    /// deepest-first eviction as `upper_cache_cap`
-    /// ([`crate::prefix::SnapshotTrie`]): snapshots only save work, so
-    /// eviction costs re-execution, never correctness.
-    pub snapshot_cap: usize,
     /// Capacity cap on the upper-run memo table
     /// ([`crate::explore::BoundedCache`]). When an insert would exceed the
     /// cap, the deepest entries — the longest replayed event sequences,
@@ -400,14 +355,6 @@ pub struct SimOptions {
     /// bounded on huge grids while verdicts and evidence are unchanged —
     /// a miss merely re-runs the deterministic upper machine.
     pub upper_cache_cap: usize,
-    /// Restrict exploration to the half-open window `[lo, hi)` of the
-    /// flat `context·nargs+arg` case grid (see
-    /// [`crate::explore::ExploreOptions::window`]). `None` — the default —
-    /// explores the whole grid. Disjoint ascending windows fold to the
-    /// same verdict, case accounting and index-least first failure as a
-    /// whole-grid check; the certification service uses this to lease
-    /// grid chunks to shard processes.
-    pub window: Option<(usize, usize)>,
     /// Caller-owned warm state ([`SimWarm`]) shared across checker
     /// invocations: the prefix memo, query-point snapshot trie and
     /// upper-run cache survive the call instead of being dropped with the
@@ -416,17 +363,10 @@ pub struct SimOptions {
     /// the same schedule-key family; the certification service keys warm
     /// handles (and families) by the unit's content fingerprint.
     pub warm: Option<SimWarm>,
-    /// Convergence deduplication ([`crate::explore::Kernel::converged`]):
-    /// fingerprint the lower machine canonically at every query-point cut
-    /// and complete any context whose remaining schedule suffix was
-    /// already explored from a fingerprint-identical state, re-grafting
-    /// the cached suffix log onto the current prefix so evidence stays
-    /// byte-identical. Collapses *diamonds* (schedules that interleave
-    /// replay-commuting events differently but converge to one state),
-    /// which prefix sharing by construction cannot. Defaults to
-    /// [`crate::prefix::state_dedup_effective`] (on unless
-    /// `CCAL_STATE_DEDUP=0`).
-    pub state_dedup: bool,
+    /// The exploration switches of the `context·nargs+arg` case grid:
+    /// workers, reduction, sharing layers, convergence dedup, the ClightX
+    /// tier and the leased window.
+    pub explore: ExploreOptions,
 }
 
 impl SimOptions {
@@ -440,98 +380,11 @@ impl Default for SimOptions {
             fuel: LayerMachine::DEFAULT_FUEL,
             compare_rets: true,
             setup: Vec::new(),
-            workers: crate::par::default_workers(),
             dedup: true,
-            por: crate::por::por_enabled(),
-            prefix_share: crate::prefix::prefix_share_enabled(),
-            deep_share: crate::prefix::prefix_deep_enabled(),
-            bytecode: crate::prefix::bytecode_enabled(),
-            snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
             upper_cache_cap: Self::DEFAULT_UPPER_CACHE_CAP,
-            window: None,
             warm: None,
-            state_dedup: crate::prefix::state_dedup_effective(),
+            explore: ExploreOptions::default(),
         }
-    }
-}
-
-impl SimOptions {
-    /// Sets the worker-thread count (1 = serial exploration).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables or disables upper-run memoization.
-    #[must_use]
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Enables or disables the partial-order reduction.
-    #[must_use]
-    pub fn with_por(mut self, por: bool) -> Self {
-        self.por = por;
-        self
-    }
-
-    /// Enables or disables prefix-sharing of lower-machine runs.
-    #[must_use]
-    pub fn with_prefix_share(mut self, prefix_share: bool) -> Self {
-        self.prefix_share = prefix_share;
-        self
-    }
-
-    /// Enables or disables query-point snapshot sharing (effective only
-    /// when `prefix_share` is on).
-    #[must_use]
-    pub fn with_deep_share(mut self, deep_share: bool) -> Self {
-        self.deep_share = deep_share;
-        self
-    }
-
-    /// Enables or disables the compiled ClightX bytecode tier.
-    #[must_use]
-    pub fn with_bytecode(mut self, bytecode: bool) -> Self {
-        self.bytecode = bytecode;
-        self
-    }
-
-    /// Caps the query-point snapshot trie (minimum 1 snapshot).
-    #[must_use]
-    pub fn with_snapshot_cap(mut self, cap: usize) -> Self {
-        self.snapshot_cap = cap.max(1);
-        self
-    }
-
-    /// Caps the upper-run memo table (minimum 1 entry).
-    #[must_use]
-    pub fn with_upper_cache_cap(mut self, cap: usize) -> Self {
-        self.upper_cache_cap = cap.max(1);
-        self
-    }
-
-    /// Restricts exploration to the flat case-index window `[lo, hi)`.
-    #[must_use]
-    pub fn with_window(mut self, lo: usize, hi: usize) -> Self {
-        self.window = Some((lo, hi));
-        self
-    }
-
-    /// Attaches caller-owned warm state shared across invocations.
-    #[must_use]
-    pub fn with_warm(mut self, warm: SimWarm) -> Self {
-        self.warm = Some(warm);
-        self
-    }
-
-    /// Enables or disables convergence deduplication of lower runs.
-    #[must_use]
-    pub fn with_state_dedup(mut self, state_dedup: bool) -> Self {
-        self.state_dedup = state_dedup;
-        self
     }
 }
 
@@ -758,15 +611,6 @@ pub fn check_prim_refinement(
     arg_vectors: &[Vec<Val>],
     opts: &SimOptions,
 ) -> Result<SimEvidence, Box<SimFailure>> {
-    // Install the execution-tier choice for the duration of the check.
-    // Strategy closures read the tier at instantiation time
-    // ([`crate::prefix::bytecode_effective`]), so a scoped override is the
-    // only way an option chosen *after* layer construction can reach them.
-    // Installed only when it differs from the environment default, so
-    // checks under default options never perturb an outer override (e.g. a
-    // differential harness bracketing a whole checker run).
-    let _tier = (opts.bytecode != crate::prefix::bytecode_enabled())
-        .then(|| crate::prefix::BytecodeOverride::force(opts.bytecode));
     let fail = |case: String, lower_log: Log, upper_log: Log, reason: String| {
         Box::new(SimFailure {
             lower: format!("{}::{}", lower_iface.name, lower_prim),
@@ -815,7 +659,9 @@ pub fn check_prim_refinement(
     let run_upper = |expected: &Log, args: &[Val]| -> UpperRun {
         let upper_env = replay_env(expected, pid);
         let mut upper =
-            LayerMachine::new(upper_iface.clone(), pid, upper_env).with_fuel(opts.fuel);
+            LayerMachine::new(upper_iface.clone(), pid, upper_env)
+                .with_fuel(opts.fuel)
+                .with_bytecode(opts.explore.bytecode);
         for (sname, sargs) in &opts.setup {
             match upper.call_prim(sname, sargs) {
                 Ok(_) => {}
@@ -849,25 +695,17 @@ pub fn check_prim_refinement(
     // (`Abort`/`PostSetup`/`Return`) from deep (`Setup`/`Call`) snapshot
     // hits, so it resumes via the raw
     // [`crate::explore::Kernel::lookup_snapshot`] and records itself.
-    let explore_opts = crate::explore::ExploreOptions {
-        workers: opts.workers,
-        por: opts.por,
-        prefix_share: opts.prefix_share,
-        deep_share: opts.deep_share,
-        snapshot_cap: opts.snapshot_cap,
-        window: opts.window,
-        state_dedup: opts.state_dedup,
-    };
+    let explore_opts = &opts.explore;
     let kernel: crate::explore::Kernel<SimSnap, LowerRun> = match &opts.warm {
         Some(w) => crate::explore::Kernel::with_state_conv(
-            &explore_opts,
+            explore_opts,
             w.memo.clone(),
-            w.snaps(opts.snapshot_cap),
+            w.snaps(explore_opts.snapshot_cap),
             explore_opts
                 .state_dedup
-                .then(|| w.conv(opts.snapshot_cap.max(1))),
+                .then(|| w.conv(explore_opts.snapshot_cap.max(1))),
         ),
-        None => crate::explore::Kernel::new(&explore_opts),
+        None => crate::explore::Kernel::new(explore_opts),
     };
     let deep = kernel.deep();
     let sched_consumed =
@@ -1200,8 +1038,11 @@ pub fn check_prim_refinement(
     // schedule prefix length.
     let exec_lower = |env: &EnvContext, ai: usize, args: &[Val]| -> (LowerRun, usize) {
         let key = kernel.share_key(env);
-        let fresh =
-            || LayerMachine::new(lower_iface.clone(), pid, env.clone()).with_fuel(opts.fuel);
+        let fresh = || {
+            LayerMachine::new(lower_iface.clone(), pid, env.clone())
+                .with_fuel(opts.fuel)
+                .with_bytecode(opts.explore.bytecode)
+        };
         let mut lower = if opts.setup.is_empty() {
             fresh()
         } else {
@@ -1596,63 +1437,15 @@ mod tests {
             .with_schedule_len(3)
             .contexts();
         let args = vec![vec![Val::Loc(Loc(0))], vec![Val::Loc(Loc(1))]];
-        let run = |opts: SimOptions| {
-            check_prim_refinement(
-                &lower,
-                "op",
-                &upper,
-                "op",
-                &SimRelation::identity(),
-                Pid(1),
-                &contexts,
-                &args,
-                &opts.with_workers(1),
-            )
+        let serial = |upper_cache_cap: usize| SimOptions {
+            upper_cache_cap,
+            explore: ExploreOptions {
+                workers: 1,
+                ..ExploreOptions::default()
+            },
+            ..SimOptions::default()
         };
-        let base = run(SimOptions::default()).unwrap();
-        // Cap 1 forces an eviction on every insert after the first.
-        let capped = run(SimOptions::default().with_upper_cache_cap(1)).unwrap();
-        assert_eq!(base.cases_checked, capped.cases_checked);
-        assert_eq!(base.cases_skipped, capped.cases_skipped);
-        assert_eq!(base.cases_reduced, capped.cases_reduced);
-        assert_eq!(base.probes.len(), capped.probes.len());
-
-        // A failing pair reports the identical first counterexample.
-        let bad = emit_iface("L-bad", EventKind::Rel);
-        let fail = |opts: SimOptions| {
-            check_prim_refinement(
-                &lower,
-                "op",
-                &bad,
-                "op",
-                &SimRelation::identity(),
-                Pid(1),
-                &contexts,
-                &args,
-                &opts.with_workers(1),
-            )
-            .unwrap_err()
-        };
-        let f1 = fail(SimOptions::default());
-        let f2 = fail(SimOptions::default().with_upper_cache_cap(1));
-        assert_eq!(f1.case, f2.case);
-        assert_eq!(f1.reason, f2.reason);
-    }
-
-    #[test]
-    fn snapshot_cap_eviction_does_not_change_verdicts() {
-        let lower = emit_iface("L-low", EventKind::Acq);
-        let upper = emit_iface("L-up", EventKind::Acq);
-        let contexts = crate::contexts::ContextGen::new(vec![Pid(0), Pid(1)])
-            .with_schedule_len(3)
-            .contexts();
-        let args = vec![vec![Val::Loc(Loc(0))], vec![Val::Loc(Loc(1))]];
         let run = |opts: SimOptions| {
-            let mut opts = opts
-                .with_workers(1)
-                .with_prefix_share(true)
-                .with_deep_share(true);
-            opts.setup = vec![("op".to_owned(), vec![Val::Loc(Loc(2))])];
             check_prim_refinement(
                 &lower,
                 "op",
@@ -1665,10 +1458,9 @@ mod tests {
                 &opts,
             )
         };
-        let base = run(SimOptions::default()).unwrap();
-        // Cap 1 forces an eviction on every snapshot insert after the
-        // first, so most cases re-execute from scratch.
-        let capped = run(SimOptions::default().with_snapshot_cap(1)).unwrap();
+        let base = run(serial(SimOptions::DEFAULT_UPPER_CACHE_CAP)).unwrap();
+        // Cap 1 forces an eviction on every insert after the first.
+        let capped = run(serial(1)).unwrap();
         assert_eq!(base.cases_checked, capped.cases_checked);
         assert_eq!(base.cases_skipped, capped.cases_skipped);
         assert_eq!(base.cases_reduced, capped.cases_reduced);
@@ -1686,15 +1478,78 @@ mod tests {
                 Pid(1),
                 &contexts,
                 &args,
-                &opts
-                    .with_workers(1)
-                    .with_prefix_share(true)
-                    .with_deep_share(true),
+                &opts,
             )
             .unwrap_err()
         };
-        let f1 = fail(SimOptions::default());
-        let f2 = fail(SimOptions::default().with_snapshot_cap(1));
+        let f1 = fail(serial(SimOptions::DEFAULT_UPPER_CACHE_CAP));
+        let f2 = fail(serial(1));
+        assert_eq!(f1.case, f2.case);
+        assert_eq!(f1.reason, f2.reason);
+    }
+
+    #[test]
+    fn snapshot_cap_eviction_does_not_change_verdicts() {
+        let lower = emit_iface("L-low", EventKind::Acq);
+        let upper = emit_iface("L-up", EventKind::Acq);
+        let contexts = crate::contexts::ContextGen::new(vec![Pid(0), Pid(1)])
+            .with_schedule_len(3)
+            .contexts();
+        let args = vec![vec![Val::Loc(Loc(0))], vec![Val::Loc(Loc(1))]];
+        let deep = |snapshot_cap: usize| SimOptions {
+            explore: ExploreOptions {
+                workers: 1,
+                prefix_share: true,
+                deep_share: true,
+                snapshot_cap,
+                ..ExploreOptions::default()
+            },
+            ..SimOptions::default()
+        };
+        let run = |snapshot_cap: usize| {
+            let opts = SimOptions {
+                setup: vec![("op".to_owned(), vec![Val::Loc(Loc(2))])],
+                ..deep(snapshot_cap)
+            };
+            check_prim_refinement(
+                &lower,
+                "op",
+                &upper,
+                "op",
+                &SimRelation::identity(),
+                Pid(1),
+                &contexts,
+                &args,
+                &opts,
+            )
+        };
+        let base = run(crate::prefix::DEFAULT_SNAPSHOT_CAP).unwrap();
+        // Cap 1 forces an eviction on every snapshot insert after the
+        // first, so most cases re-execute from scratch.
+        let capped = run(1).unwrap();
+        assert_eq!(base.cases_checked, capped.cases_checked);
+        assert_eq!(base.cases_skipped, capped.cases_skipped);
+        assert_eq!(base.cases_reduced, capped.cases_reduced);
+        assert_eq!(base.probes.len(), capped.probes.len());
+
+        // A failing pair reports the identical first counterexample.
+        let bad = emit_iface("L-bad", EventKind::Rel);
+        let fail = |snapshot_cap: usize| {
+            check_prim_refinement(
+                &lower,
+                "op",
+                &bad,
+                "op",
+                &SimRelation::identity(),
+                Pid(1),
+                &contexts,
+                &args,
+                &deep(snapshot_cap),
+            )
+            .unwrap_err()
+        };
+        let f1 = fail(crate::prefix::DEFAULT_SNAPSHOT_CAP);
+        let f2 = fail(1);
         assert_eq!(f1.case, f2.case);
         assert_eq!(f1.reason, f2.reason);
     }

@@ -13,6 +13,7 @@
 //! bit-identical verdict and first-failure log.
 
 use ccal_core::env::EnvContext;
+use ccal_core::explore::ExploreOptions;
 use ccal_core::forensics::{CaptureScope, ShrinkNote};
 use ccal_core::id::{Pid, PidSet};
 use ccal_core::log::Log;
@@ -20,8 +21,8 @@ use ccal_core::machine::LayerMachine;
 use ccal_core::sim::{check_prim_refinement, SimOptions, SimRelation};
 use ccal_objects::buggy;
 use ccal_verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, fifo_history_validator,
+    check_linearizability_with, check_liveness_with, check_race_freedom_with,
+    check_sequence_refinement_with, fifo_history_validator,
 };
 
 use crate::artifact::{ExpectedFailure, ReplayOptions, TraceArtifact, FORMAT_VERSION};
@@ -30,51 +31,42 @@ use crate::shrink;
 
 /// How a checker run is configured (the knobs forensics bypasses on
 /// replay).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Worker threads on the case grid.
-    pub workers: usize,
     /// Upper-run memoization (sim only; ignored elsewhere).
     pub dedup: bool,
-    /// Partial-order reduction.
-    pub por: bool,
-    /// Prefix-sharing of lower runs across contexts (see
-    /// [`ccal_core::prefix`]).
-    pub prefix_share: bool,
-    /// Deep prefix-sharing: query-point snapshot forking (see
-    /// [`ccal_core::prefix::SnapshotTrie`]). Effective only when
-    /// `prefix_share` is on.
-    pub deep_share: bool,
-    /// Convergence dedup of execution states (see
-    /// [`ccal_core::explore::Kernel::converged`]). Forced off on replay —
-    /// a replay must *execute* the witness, never answer it from a cache.
-    pub state_dedup: bool,
+    /// The exploration switches every checker takes. Convergence dedup is
+    /// forced off on replay — a replay must *execute* the witness, never
+    /// answer it from a cache.
+    pub explore: ExploreOptions,
 }
 
 impl RunConfig {
     /// The replay configuration: serial, no dedup, no POR, no prefix
     /// sharing, no convergence dedup — every source of exploration-order
-    /// variance off.
+    /// variance off — on the compiled ClightX tier.
     #[must_use]
     pub fn replay() -> Self {
         Self {
-            workers: 1,
             dedup: false,
-            por: false,
-            prefix_share: false,
-            deep_share: false,
-            state_dedup: false,
+            explore: ExploreOptions {
+                workers: 1,
+                por: false,
+                prefix_share: false,
+                deep_share: false,
+                state_dedup: false,
+                ..ExploreOptions::default()
+            },
         }
     }
-}
 
-/// Installs a scoped process-wide convergence-dedup override matching
-/// `cfg` for the checkers whose `_tuned` signatures don't expose the knob
-/// (the flag is read at `ExploreOptions` construction time inside them).
-/// No-op when the environment default already agrees.
-fn state_dedup_guard(cfg: &RunConfig) -> Option<ccal_core::prefix::StateDedupOverride> {
-    (cfg.state_dedup != ccal_core::prefix::state_dedup_enabled())
-        .then(|| ccal_core::prefix::StateDedupOverride::force(cfg.state_dedup))
+    /// [`RunConfig::replay`] on the given ClightX tier.
+    #[must_use]
+    pub fn replay_on(bytecode: bool) -> Self {
+        let mut cfg = Self::replay();
+        cfg.explore.bytecode = bytecode;
+        cfg
+    }
 }
 
 /// One failing case as captured from a checker run.
@@ -120,21 +112,18 @@ fn run_sim(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
         Pid(0),
         contexts,
         &[vec![]],
-        &SimOptions::default()
-            .with_workers(cfg.workers)
-            .with_dedup(cfg.dedup)
-            .with_por(cfg.por)
-            .with_prefix_share(cfg.prefix_share)
-            .with_deep_share(cfg.deep_share)
-            .with_state_dedup(cfg.state_dedup),
+        &SimOptions {
+            dedup: cfg.dedup,
+            explore: cfg.explore.clone(),
+            ..SimOptions::default()
+        },
     )
     .map(|_| ())
     .map_err(|f| f.reason)
 }
 
 fn run_live(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
-    check_liveness_tuned(
+    check_liveness_with(
         &buggy::impatient_waiter_iface(),
         "wait",
         &[],
@@ -142,35 +131,27 @@ fn run_live(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
         contexts,
         buggy::IMPATIENT_BOUND,
         buggy::IMPATIENT_FUEL,
-        cfg.workers,
-        cfg.por,
-        cfg.prefix_share,
-        cfg.deep_share,
+        &cfg.explore,
     )
     .map(|_| ())
     .map_err(|e| e.to_string())
 }
 
 fn run_race(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
-    check_race_freedom_tuned(
+    check_race_freedom_with(
         &ccal_machine::mx86::mx86_hw_interface(),
         &PidSet::from_pids([Pid(0), Pid(1)]),
         &buggy::unlocked_pair_programs(),
         contexts,
         RACE_FUEL,
-        cfg.workers,
-        cfg.por,
-        cfg.prefix_share,
-        cfg.deep_share,
+        &cfg.explore,
     )
     .map(|_| ())
     .map_err(|e| e.to_string())
 }
 
 fn run_linz(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
-    check_linearizability_tuned(
+    check_linearizability_with(
         &buggy::lifo_queue_iface(),
         &PidSet::from_pids([Pid(0), Pid(1)]),
         &buggy::lifo_queue_programs(),
@@ -178,18 +159,14 @@ fn run_linz(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
         &*fifo_history_validator("deq"),
         contexts,
         LINZ_FUEL,
-        cfg.workers,
-        cfg.por,
-        cfg.prefix_share,
-        cfg.deep_share,
+        &cfg.explore,
     )
     .map(|_| ())
     .map_err(|e| e.to_string())
 }
 
 fn run_seqref(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
-    let _sd = state_dedup_guard(cfg);
-    check_sequence_refinement_tuned(
+    check_sequence_refinement_with(
         &buggy::env_leaky_counter_impl(),
         &buggy::env_leaky_counter_spec(),
         &SimRelation::identity(),
@@ -197,10 +174,7 @@ fn run_seqref(contexts: &[EnvContext], cfg: &RunConfig) -> Result<(), String> {
         contexts,
         &buggy::env_leaky_counter_scripts(),
         SEQREF_FUEL,
-        cfg.workers,
-        cfg.por,
-        cfg.prefix_share,
-        cfg.deep_share,
+        &cfg.explore,
     )
     .map(|_| ())
     .map_err(|e| e.to_string())
@@ -276,8 +250,14 @@ pub fn find(checker: &str, object: &str) -> Option<Fixture> {
 /// construction — it serves as both the shrink oracle and the replay
 /// engine.
 pub fn probe(fx: &Fixture, sc: &ScriptedContext) -> Option<CaseFailure> {
+    probe_under(fx, sc, &RunConfig::replay())
+}
+
+/// [`probe`] under an explicit configuration (a replay configuration on a
+/// chosen tier, see [`RunConfig::replay_on`]).
+fn probe_under(fx: &Fixture, sc: &ScriptedContext, cfg: &RunConfig) -> Option<CaseFailure> {
     let scope = CaptureScope::begin();
-    let _ = (fx.runner)(&[sc.to_env()], &RunConfig::replay());
+    let _ = (fx.runner)(&[sc.to_env()], cfg);
     scope
         .take()
         .into_iter()
@@ -293,7 +273,8 @@ pub fn probe(fx: &Fixture, sc: &ScriptedContext) -> Option<CaseFailure> {
 /// Runs the fixture's full context grid under `cfg`, reifies the
 /// index-least failing case, shrinks it to 1-minimal, and packages the
 /// minimized witness as a [`TraceArtifact`] (with shrink accounting
-/// embedded).
+/// embedded). Shrink probes run the replay configuration on `cfg`'s
+/// ClightX tier, which the artifact records.
 ///
 /// # Errors
 ///
@@ -303,6 +284,8 @@ pub fn probe(fx: &Fixture, sc: &ScriptedContext) -> Option<CaseFailure> {
 pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, String> {
     let contexts = (fx.contexts)();
     let env_fuel = contexts.first().map_or(EnvContext::DEFAULT_FUEL, EnvContext::fuel);
+    let replay = RunConfig::replay_on(cfg.explore.bytecode);
+    let probe = |sc: &ScriptedContext| probe_under(fx, sc, &replay);
     let scope = CaptureScope::begin();
     let verdict = (fx.runner)(&contexts, cfg);
     let captures = scope.take();
@@ -322,15 +305,15 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
             )
         })?;
     let reified = ScriptedContext::from_log(fx.domain.clone(), env_fuel, &fx.focused, &first.log);
-    if probe(fx, &reified).is_none() {
+    if probe(&reified).is_none() {
         return Err(format!(
             "{}/{}: reified context does not reproduce the failure ({})",
             fx.checker, fx.object, first.reason
         ));
     }
     let original_steps = reified.steps();
-    let outcome = shrink::shrink(&reified, &mut |sc| probe(fx, sc).is_some());
-    let witness = probe(fx, &outcome.context).ok_or_else(|| {
+    let outcome = shrink::shrink(&reified, &mut |sc| probe(sc).is_some());
+    let witness = probe(&outcome.context).ok_or_else(|| {
         format!(
             "{}/{}: shrunk context no longer fails",
             fx.checker, fx.object
@@ -347,9 +330,9 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
             por: false,
             prefix_share: false,
             deep_share: false,
-            // Record the tier the investigation actually ran under, so
-            // the artifact is self-describing about its provenance.
-            bytecode: ccal_core::prefix::bytecode_effective(),
+            // Record the tier the witness was produced on, so the
+            // artifact is self-describing about its provenance.
+            bytecode: replay.explore.bytecode,
             state_dedup: false,
             share_semantic: ccal_core::prefix::share_semantic_effective(),
         },
@@ -373,9 +356,9 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
     Ok(artifact)
 }
 
-/// Replays a trace artifact through its fixture's checker and asserts the
-/// verdict is bit-identical: same failure reason, same case detail, same
-/// first-failure log.
+/// Replays a trace artifact through its fixture's checker, on the tier
+/// the artifact records, and asserts the verdict is bit-identical: same
+/// failure reason, same case detail, same first-failure log.
 ///
 /// # Errors
 ///
@@ -390,7 +373,8 @@ pub fn replay_artifact(a: &TraceArtifact) -> Result<(), String> {
             a.checker, a.object, a.options.machine_fuel, fx.machine_fuel
         ));
     }
-    let got = probe(&fx, &a.context).ok_or_else(|| {
+    let replay = RunConfig::replay_on(a.options.bytecode);
+    let got = probe_under(&fx, &a.context, &replay).ok_or_else(|| {
         format!(
             "{}/{}: replay PASSED but artifact expects failure `{}`",
             a.checker, a.object, a.expected.reason

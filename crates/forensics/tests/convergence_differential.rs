@@ -12,9 +12,11 @@ use std::sync::{Mutex, OnceLock};
 
 use ccal_core::contexts::ContextGen;
 use ccal_core::event::{Event, EventKind};
+use ccal_core::explore::ExploreOptions;
 use ccal_core::forensics::CaptureScope;
 use ccal_core::id::{Loc, Pid};
-use ccal_core::prefix::{self, StateDedupOverride};
+use ccal_core::prefix;
+use ccal_core::sim::SimOptions;
 use ccal_core::val::Val;
 use ccal_forensics::{all_fixtures, find, investigate, Fixture, RunConfig, ScriptedContext};
 use ccal_objects::ticket;
@@ -22,8 +24,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The dedup override and the prefix step counters are process-global;
-/// serialize every test that flips or brackets them.
+/// The prefix step counters are process-global; serialize every test
+/// that brackets them.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -46,12 +48,15 @@ fn base_grid() -> Vec<(usize, bool, bool, bool, bool)> {
 fn config(base: (usize, bool, bool, bool, bool), state_dedup: bool) -> RunConfig {
     let (workers, dedup, por, prefix_share, deep_share) = base;
     RunConfig {
-        workers,
         dedup,
-        por,
-        prefix_share,
-        deep_share,
-        state_dedup,
+        explore: ExploreOptions {
+            workers,
+            por,
+            prefix_share,
+            deep_share,
+            state_dedup,
+            ..ExploreOptions::default()
+        },
     }
 }
 
@@ -65,7 +70,7 @@ fn observe(fx: &Fixture, cfg: &RunConfig) -> (Result<(), String>, String) {
     let scope = CaptureScope::begin();
     let verdict = (fx.runner)(&(fx.contexts)(), cfg);
     let captures = scope.take();
-    let canonical = if cfg.workers == 1 {
+    let canonical = if cfg.explore.workers == 1 {
         format!("{captures:?}")
     } else {
         format!("{:?}", captures.iter().min_by_key(|c| c.case_index))
@@ -113,14 +118,10 @@ fn investigation_artifacts_are_dedup_invariant() {
             !reference.options.state_dedup,
             "replay must record the cache off"
         );
-        let deduped = investigate(
-            &fx,
-            &RunConfig {
-                state_dedup: true,
-                ..RunConfig::replay()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{}/{}: {e}", fx.checker, fx.object));
+        let mut deduped_cfg = RunConfig::replay();
+        deduped_cfg.explore.state_dedup = true;
+        let deduped = investigate(&fx, &deduped_cfg)
+            .unwrap_or_else(|e| panic!("{}/{}: {e}", fx.checker, fx.object));
         assert_eq!(
             deduped.encode().pretty(),
             reference.encode().pretty(),
@@ -132,7 +133,8 @@ fn investigation_artifacts_are_dedup_invariant() {
 }
 
 /// A passing serial ticket-stack certification bracketed on the
-/// process-global counters.
+/// process-global counters, with convergence dedup and the ClightX tier
+/// as given.
 struct TicketRun {
     /// `(description, cases_checked, cases_skipped, cases_reduced)` per
     /// obligation, pipeline order.
@@ -141,7 +143,7 @@ struct TicketRun {
     converged: u64,
 }
 
-fn certify_ticket() -> TicketRun {
+fn certify_ticket(state_dedup: bool, bytecode: bool) -> TicketRun {
     let b = Loc(0);
     let rounds = 2;
     let schedule_len = 3;
@@ -155,7 +157,17 @@ fn certify_ticket() -> TicketRun {
         .contexts();
     let steps0 = prefix::steps_total();
     let conv0 = prefix::converged_total();
-    let stack = ticket::certify_ticket_stack_tuned(Pid(0), b, low, atomic, 1, false)
+    let sim = SimOptions {
+        dedup: false,
+        explore: ExploreOptions {
+            workers: 1,
+            state_dedup,
+            bytecode,
+            ..ExploreOptions::default()
+        },
+        ..SimOptions::default()
+    };
+    let stack = ticket::certify_ticket_stack_with(Pid(0), b, low, atomic, &sim)
         .expect("the ticket stack certifies");
     let obligations = stack
         .fun_lift
@@ -180,54 +192,52 @@ fn certify_ticket() -> TicketRun {
     }
 }
 
-/// Passing polarity: the contended ticket stack certifies with the
-/// identical per-obligation accounting and verdict under convergence
-/// dedup, the serial step counters are run-to-run deterministic, and —
-/// on the bytecode tier, where ClightX primitives expose a state
-/// fingerprint — the cache actually hits and saves atom steps.
+/// Passing polarity, on both ClightX tiers: the contended ticket stack
+/// certifies with the identical per-obligation accounting and verdict
+/// under convergence dedup, the serial step counters are run-to-run
+/// deterministic, and — on the bytecode tier, where ClightX primitives
+/// expose a state fingerprint — the cache actually hits and saves atom
+/// steps.
 #[test]
 fn passing_ticket_stack_is_dedup_invariant_and_cheaper() {
     let _guard = serial();
-    let off = {
-        let _sd = StateDedupOverride::force(false);
-        certify_ticket()
-    };
-    let (on1, on2) = {
-        let _sd = StateDedupOverride::force(true);
-        (certify_ticket(), certify_ticket())
-    };
-    assert_eq!(
-        on1.obligations, off.obligations,
-        "convergence dedup perturbed the per-obligation accounting"
-    );
-    assert_eq!(
-        on1.steps, on2.steps,
-        "serial step counters must be run-to-run deterministic"
-    );
-    assert_eq!(
-        on1.converged, on2.converged,
-        "convergence hits must be run-to-run deterministic"
-    );
-    assert_eq!(off.converged, 0, "cache off records no hits");
-    assert!(
-        on1.steps <= off.steps,
-        "dedup must never add steps ({} -> {})",
-        off.steps,
-        on1.steps
-    );
-    // The interpreter tier exposes no state fingerprint for in-flight C
-    // primitives, so the cache is deliberately inert there.
-    if prefix::bytecode_effective() {
-        assert!(
-            on1.converged > 0,
-            "contended ticket stack produced no convergence hits"
+    for bytecode in [true, false] {
+        let off = certify_ticket(false, bytecode);
+        let on1 = certify_ticket(true, bytecode);
+        let on2 = certify_ticket(true, bytecode);
+        assert_eq!(
+            on1.obligations, off.obligations,
+            "convergence dedup perturbed the per-obligation accounting"
         );
+        assert_eq!(
+            on1.steps, on2.steps,
+            "serial step counters must be run-to-run deterministic"
+        );
+        assert_eq!(
+            on1.converged, on2.converged,
+            "convergence hits must be run-to-run deterministic"
+        );
+        assert_eq!(off.converged, 0, "cache off records no hits");
         assert!(
-            on1.steps < off.steps,
-            "convergence hits saved no steps ({} -> {})",
+            on1.steps <= off.steps,
+            "dedup must never add steps ({} -> {})",
             off.steps,
             on1.steps
         );
+        // The interpreter tier exposes no state fingerprint for in-flight C
+        // primitives, so the cache is deliberately inert there.
+        if bytecode {
+            assert!(
+                on1.converged > 0,
+                "contended ticket stack produced no convergence hits"
+            );
+            assert!(
+                on1.steps < off.steps,
+                "convergence hits saved no steps ({} -> {})",
+                off.steps,
+                on1.steps
+            );
+        }
     }
 }
 
@@ -272,10 +282,8 @@ fn apply_junk(base: &ScriptedContext, ops: &[(u8, u8, u8)]) -> ScriptedContext {
 /// The first failure of a single-context grid, under an explicit
 /// convergence setting (a dedup-sensitive `probe`).
 fn first_failure(sc: &ScriptedContext, state_dedup: bool) -> Option<String> {
-    let cfg = RunConfig {
-        state_dedup,
-        ..RunConfig::replay()
-    };
+    let mut cfg = RunConfig::replay();
+    cfg.explore.state_dedup = state_dedup;
     let scope = CaptureScope::begin();
     let _ = (sim_fixture().runner)(&[sc.to_env()], &cfg);
     scope

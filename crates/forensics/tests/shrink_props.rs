@@ -18,6 +18,7 @@
 use std::sync::OnceLock;
 
 use ccal_core::event::{Event, EventKind};
+use ccal_core::explore::ExploreOptions;
 use ccal_core::id::{Loc, Pid};
 use ccal_core::val::Val;
 use ccal_forensics::{
@@ -122,14 +123,18 @@ fn investigation_is_identical_across_workers_and_por() {
                 for prefix_share in [false, true] {
                     for deep_share in [false, true] {
                         let cfg = RunConfig {
-                            workers,
                             dedup: workers > 1,
-                            por,
-                            prefix_share,
-                            deep_share,
-                            // Convergence dedup rides the deep axis so the
-                            // grid covers it on and off without doubling.
-                            state_dedup: deep_share,
+                            explore: ExploreOptions {
+                                workers,
+                                por,
+                                prefix_share,
+                                deep_share,
+                                // Convergence dedup rides the deep axis so
+                                // the grid covers it on and off without
+                                // doubling.
+                                state_dedup: deep_share,
+                                ..ExploreOptions::default()
+                            },
                         };
                         let got = investigate(&fx, &cfg)
                             .unwrap_or_else(|e| panic!("investigate failed under {cfg:?}: {e}"));

@@ -313,12 +313,22 @@ pub fn env_leaky_counter_contexts() -> Vec<EnvContext> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccal_core::explore::ExploreOptions;
     use ccal_core::id::PidSet;
     use ccal_core::sim::{check_prim_refinement, SimOptions, SimRelation};
     use ccal_verifier::{
-        check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-        check_sequence_refinement_tuned, fifo_history_validator,
+        check_linearizability_with, check_liveness_with, check_race_freedom_with,
+        check_sequence_refinement_with, fifo_history_validator,
     };
+
+    /// Serial exploration without the reduction, every other layer on.
+    fn serial() -> ExploreOptions {
+        ExploreOptions {
+            workers: 1,
+            por: false,
+            ..ExploreOptions::default()
+        }
+    }
 
     #[test]
     fn scratch_sensitive_fails_refinement() {
@@ -331,7 +341,10 @@ mod tests {
             Pid(0),
             &scratch_sensitive_contexts(),
             &[vec![]],
-            &SimOptions::default().with_workers(1).with_por(false),
+            &SimOptions {
+                explore: serial(),
+                ..SimOptions::default()
+            },
         )
         .unwrap_err();
         assert!(err.reason.contains("return values differ"), "{}", err.reason);
@@ -339,7 +352,7 @@ mod tests {
 
     #[test]
     fn impatient_waiter_fails_liveness() {
-        let err = check_liveness_tuned(
+        let err = check_liveness_with(
             &impatient_waiter_iface(),
             "wait",
             &[],
@@ -347,10 +360,7 @@ mod tests {
             &impatient_waiter_contexts(),
             IMPATIENT_BOUND,
             IMPATIENT_FUEL,
-            1,
-            false,
-            true,
-            true,
+            &serial(),
         )
         .unwrap_err();
         assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));
@@ -358,16 +368,13 @@ mod tests {
 
     #[test]
     fn unlocked_pair_races() {
-        let err = check_race_freedom_tuned(
+        let err = check_race_freedom_with(
             &ccal_machine::mx86::mx86_hw_interface(),
             &PidSet::from_pids([Pid(0), Pid(1)]),
             &unlocked_pair_programs(),
             &unlocked_pair_contexts(),
             50_000,
-            1,
-            false,
-            true,
-            true,
+            &serial(),
         )
         .unwrap_err();
         assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));
@@ -375,7 +382,7 @@ mod tests {
 
     #[test]
     fn lifo_queue_fails_linearizability() {
-        let err = check_linearizability_tuned(
+        let err = check_linearizability_with(
             &lifo_queue_iface(),
             &PidSet::from_pids([Pid(0), Pid(1)]),
             &lifo_queue_programs(),
@@ -383,10 +390,7 @@ mod tests {
             &*fifo_history_validator("deq"),
             &lifo_queue_contexts(),
             100_000,
-            1,
-            false,
-            true,
-            true,
+            &serial(),
         )
         .unwrap_err();
         assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));
@@ -394,7 +398,7 @@ mod tests {
 
     #[test]
     fn env_leaky_counter_fails_sequence_refinement() {
-        let err = check_sequence_refinement_tuned(
+        let err = check_sequence_refinement_with(
             &env_leaky_counter_impl(),
             &env_leaky_counter_spec(),
             &SimRelation::identity(),
@@ -402,10 +406,7 @@ mod tests {
             &env_leaky_counter_contexts(),
             &env_leaky_counter_scripts(),
             100_000,
-            1,
-            false,
-            true,
-            true,
+            &serial(),
         )
         .unwrap_err();
         assert!(matches!(err, ccal_core::calculus::LayerError::Mismatch { .. }));

@@ -19,7 +19,7 @@ use ccal_core::layer::{LayerInterface, PrimSpec};
 use ccal_core::log::Log;
 use ccal_core::machine::MachineError;
 use ccal_core::replay::{deq_result, replay_atomic_lock};
-use ccal_core::sim::SimRelation;
+use ccal_core::sim::{SimOptions, SimRelation};
 use ccal_core::strategy::{Strategy, StrategyMove};
 use ccal_core::val::Val;
 
@@ -192,33 +192,34 @@ pub fn certify_shared_queue(
     q: Loc,
     contexts: Vec<ccal_core::env::EnvContext>,
 ) -> Result<CertifiedLayer, LayerError> {
-    certify_shared_queue_tuned(pid, q, contexts, ccal_core::par::default_workers(), true)
+    certify_shared_queue_with(pid, q, contexts, &SimOptions::default())
 }
 
-/// [`certify_shared_queue`] with explicit exploration settings — worker
-/// count and symmetric-schedule dedup — so differential tests and
-/// benchmarks can compare serial and parallel checking of the same layer.
+/// [`certify_shared_queue`] under explicit simulation options (worker
+/// count, symmetric-schedule dedup and the rest of
+/// [`SimOptions::explore`]), so differential tests and benchmarks can
+/// compare configurations of the same layer.
 ///
 /// # Errors
 ///
 /// The first failed obligation.
-pub fn certify_shared_queue_tuned(
+pub fn certify_shared_queue_with(
     pid: Pid,
     q: Loc,
     contexts: Vec<ccal_core::env::EnvContext>,
-    workers: usize,
-    dedup: bool,
+    sim: &SimOptions,
 ) -> Result<CertifiedLayer, LayerError> {
     let m = ccal_clightx::clightx_module("Mq", SHAREDQ_SOURCE).map_err(|e| {
         LayerError::Machine(MachineError::Stuck(format!("Mq front-end: {e}")))
     })?;
-    let opts = CheckOptions::new(contexts)
-        .with_workload("enQ", vec![vec![Val::Loc(q), Val::Int(7)]])
-        .with_workload("deQ", vec![vec![Val::Loc(q)]])
-        // Exercise deQ both on an empty queue and after an enqueue.
-        .with_setup("deQ", vec![("enQ".to_owned(), vec![Val::Loc(q), Val::Int(42)])])
-        .with_workers(workers)
-        .with_dedup(dedup);
+    let opts = CheckOptions {
+        sim: sim.clone(),
+        ..CheckOptions::new(contexts)
+    }
+    .with_workload("enQ", vec![vec![Val::Loc(q), Val::Int(7)]])
+    .with_workload("deQ", vec![vec![Val::Loc(q)]])
+    // Exercise deQ both on an empty queue and after an enqueue.
+    .with_setup("deQ", vec![("enQ".to_owned(), vec![Val::Loc(q), Val::Int(42)])]);
     // The overlay has only enQ/deQ; underlay prims acq/rel are not
     // re-exported (they are hidden by the abstraction, as in Fig. 1 where
     // shared queues sit above spinlocks).

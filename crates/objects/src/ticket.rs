@@ -33,7 +33,7 @@ use ccal_core::machine::MachineError;
 use ccal_core::module::Module;
 use ccal_core::rely::{Conditions, Invariant, RelyGuarantee};
 use ccal_core::replay::{my_ticket, replay_atomic_lock, replay_ticket};
-use ccal_core::sim::SimRelation;
+use ccal_core::sim::{SimOptions, SimRelation};
 use ccal_core::strategy::{Strategy, StrategyMove};
 use ccal_core::val::Val;
 use ccal_machine::lx86::{in_critical_l0, lx86_interface};
@@ -621,30 +621,23 @@ pub fn certify_ticket_stack(
     contexts_low: Vec<ccal_core::env::EnvContext>,
     contexts_atomic: Vec<ccal_core::env::EnvContext>,
 ) -> Result<TicketStack, LayerError> {
-    certify_ticket_stack_tuned(
-        pid,
-        b,
-        contexts_low,
-        contexts_atomic,
-        ccal_core::par::default_workers(),
-        true,
-    )
+    certify_ticket_stack_with(pid, b, contexts_low, contexts_atomic, &SimOptions::default())
 }
 
-/// [`certify_ticket_stack`] with explicit exploration settings — worker
-/// count and symmetric-schedule dedup — so differential tests and
-/// benchmarks can compare serial and parallel checking of the same stack.
+/// [`certify_ticket_stack`] under explicit simulation options (worker
+/// count, symmetric-schedule dedup and the rest of
+/// [`SimOptions::explore`]), so differential tests and benchmarks can
+/// compare configurations of the same stack.
 ///
 /// # Errors
 ///
 /// The first failed obligation, as a [`LayerError`].
-pub fn certify_ticket_stack_tuned(
+pub fn certify_ticket_stack_with(
     pid: Pid,
     b: Loc,
     contexts_low: Vec<ccal_core::env::EnvContext>,
     contexts_atomic: Vec<ccal_core::env::EnvContext>,
-    workers: usize,
-    dedup: bool,
+    sim: &SimOptions,
 ) -> Result<TicketStack, LayerError> {
     let m1 = ccal_clightx::clightx_module("M1", M1_SOURCE).map_err(|e| {
         LayerError::Machine(MachineError::Stuck(format!("M1 front-end: {e}")))
@@ -653,17 +646,19 @@ pub fn certify_ticket_stack_tuned(
         LayerError::Machine(MachineError::Stuck(format!("M2 front-end: {e}")))
     })?;
     let lock_args = vec![vec![Val::Loc(b)]];
-    let opts_low = CheckOptions::new(contexts_low)
-        .with_workload("acq", lock_args.clone())
-        .with_workload("rel", lock_args.clone())
-        .with_workers(workers)
-        .with_dedup(dedup);
-    let opts_atomic = CheckOptions::new(contexts_atomic)
-        .with_workload("acq", lock_args.clone())
-        .with_workload("rel", lock_args.clone())
-        .with_workload("foo", lock_args.clone())
-        .with_workers(workers)
-        .with_dedup(dedup);
+    let opts_low = CheckOptions {
+        sim: sim.clone(),
+        ..CheckOptions::new(contexts_low)
+    }
+    .with_workload("acq", lock_args.clone())
+    .with_workload("rel", lock_args.clone());
+    let opts_atomic = CheckOptions {
+        sim: sim.clone(),
+        ..CheckOptions::new(contexts_atomic)
+    }
+    .with_workload("acq", lock_args.clone())
+    .with_workload("rel", lock_args.clone())
+    .with_workload("foo", lock_args.clone());
 
     // Fun-lift: L0 ⊢_id M1 : L′1.
     let fun_lift = check_fun(

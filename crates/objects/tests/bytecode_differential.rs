@@ -8,46 +8,36 @@
 //! worker counts, POR, and prefix/deep sharing.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ccal_core::conc::ThreadScript;
 use ccal_core::contexts::ContextGen;
 use ccal_core::env::EnvContext;
+use ccal_core::explore::ExploreOptions;
 use ccal_core::id::{Loc, Pid, PidSet};
 use ccal_core::layer::LayerInterface;
-use ccal_core::prefix::BytecodeOverride;
+use ccal_core::sim::SimOptions;
 use ccal_core::val::Val;
 use ccal_objects::ticket::{
-    certify_ticket_stack_tuned, l0_interface, lock_interface, m1_module, r1_relation,
+    certify_ticket_stack_with, l0_interface, lock_interface, m1_module, r1_relation,
     FooEnvPlayer, TicketEnvPlayer,
 };
 use ccal_verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, lock_history_validator, ticket_bound, OpScript,
+    check_linearizability_with, check_liveness_with, check_race_freedom_with,
+    check_sequence_refinement_with, lock_history_validator, ticket_bound, OpScript,
 };
 
 const B: Loc = Loc(0);
 
-/// The tier override is process-global; serialize every test that flips
-/// it so parallel test threads cannot observe each other's tier.
-static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` once per tier and asserts the outcomes are identical;
-/// returns the (shared) outcome for further assertions.
+/// Runs `f` once per tier (`true` = compiled) and asserts the outcomes
+/// are identical; returns the (shared) outcome for further assertions.
 fn both_tiers<T, F>(f: F) -> T
 where
     T: PartialEq + std::fmt::Debug,
-    F: Fn() -> T,
+    F: Fn(bool) -> T,
 {
-    let _serial = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let on = {
-        let _tier = BytecodeOverride::force(true);
-        f()
-    };
-    let off = {
-        let _tier = BytecodeOverride::force(false);
-        f()
-    };
+    let on = f(true);
+    let off = f(false);
     assert_eq!(on, off, "compiled and interpreted tiers diverged");
     on
 }
@@ -60,6 +50,21 @@ const GRID: [(usize, bool, bool, bool); 3] = [
     (2, true, true, false),
     (2, true, true, true),
 ];
+
+/// One [`GRID`] setting on one tier.
+fn opts(
+    (workers, por, prefix_share, deep_share): (usize, bool, bool, bool),
+    bytecode: bool,
+) -> ExploreOptions {
+    ExploreOptions {
+        workers,
+        por,
+        prefix_share,
+        deep_share,
+        bytecode,
+        ..ExploreOptions::default()
+    }
+}
 
 fn ticket_iface() -> LayerInterface {
     m1_module()
@@ -80,9 +85,9 @@ fn liveness_contexts() -> Vec<EnvContext> {
 fn liveness_verdict_is_tier_invariant() {
     let iface = ticket_iface();
     let contexts = liveness_contexts();
-    for (workers, por, prefix, deep) in GRID {
-        let ob = both_tiers(|| {
-            check_liveness_tuned(
+    for cfg in GRID {
+        let ob = both_tiers(|bytecode| {
+            check_liveness_with(
                 &iface,
                 "acq",
                 &[Val::Loc(B)],
@@ -90,10 +95,7 @@ fn liveness_verdict_is_tier_invariant() {
                 &contexts,
                 ticket_bound(4, 8, 2),
                 200_000,
-                workers,
-                por,
-                prefix,
-                deep,
+                &opts(cfg, bytecode),
             )
             .map_err(|e| e.to_string())
         })
@@ -106,12 +108,12 @@ fn liveness_verdict_is_tier_invariant() {
 fn liveness_failure_evidence_is_tier_invariant() {
     let iface = ticket_iface();
     let contexts = liveness_contexts();
-    for (workers, por, prefix, deep) in GRID {
+    for cfg in GRID {
         // Bound 1 is unmeetable: even an uncontended acq takes several
         // scheduling steps. Both tiers must starve at the same point
         // with the same rendered counterexample.
-        let err = both_tiers(|| {
-            check_liveness_tuned(
+        let err = both_tiers(|bytecode| {
+            check_liveness_with(
                 &iface,
                 "acq",
                 &[Val::Loc(B)],
@@ -119,10 +121,7 @@ fn liveness_failure_evidence_is_tier_invariant() {
                 &contexts,
                 1,
                 200_000,
-                workers,
-                por,
-                prefix,
-                deep,
+                &opts(cfg, bytecode),
             )
             .map_err(|e| e.to_string())
         })
@@ -161,18 +160,15 @@ fn race_freedom_verdict_is_tier_invariant() {
     let focused = PidSet::from_pids([Pid(0), Pid(1)]);
     let programs = acq_rel_programs();
     let contexts = game_contexts();
-    for (workers, por, prefix, deep) in GRID {
-        let outcome = both_tiers(|| {
-            check_race_freedom_tuned(
+    for cfg in GRID {
+        let outcome = both_tiers(|bytecode| {
+            check_race_freedom_with(
                 &iface,
                 &focused,
                 &programs,
                 &contexts,
                 200_000,
-                workers,
-                por,
-                prefix,
-                deep,
+                &opts(cfg, bytecode),
             )
             .map_err(|e| e.to_string())
         });
@@ -188,9 +184,9 @@ fn linearizability_verdict_is_tier_invariant() {
     let programs = acq_rel_programs();
     let contexts = game_contexts();
     let validator = lock_history_validator();
-    for (workers, por, prefix, deep) in GRID {
-        let outcome = both_tiers(|| {
-            check_linearizability_tuned(
+    for cfg in GRID {
+        let outcome = both_tiers(|bytecode| {
+            check_linearizability_with(
                 &iface,
                 &focused,
                 &programs,
@@ -198,10 +194,7 @@ fn linearizability_verdict_is_tier_invariant() {
                 &validator,
                 &contexts,
                 200_000,
-                workers,
-                por,
-                prefix,
-                deep,
+                &opts(cfg, bytecode),
             )
             .map_err(|e| e.to_string())
         });
@@ -219,12 +212,12 @@ fn sequence_refinement_verdict_is_tier_invariant() {
         ("rel".to_owned(), vec![Val::Loc(B)]),
     ]];
     let contexts = liveness_contexts();
-    for (workers, por, prefix, deep) in GRID {
+    for cfg in GRID {
         // The verdict (pass or fail, and if fail: which case, why) must
         // match tier-for-tier; the interesting property is invariance,
         // not the verdict itself.
-        let _outcome = both_tiers(|| {
-            check_sequence_refinement_tuned(
+        let _outcome = both_tiers(|bytecode| {
+            check_sequence_refinement_with(
                 &impl_iface,
                 &spec_iface,
                 &r1_relation(),
@@ -232,10 +225,7 @@ fn sequence_refinement_verdict_is_tier_invariant() {
                 &contexts,
                 &scripts,
                 200_000,
-                workers,
-                por,
-                prefix,
-                deep,
+                &opts(cfg, bytecode),
             )
             .map_err(|e| e.to_string())
         });
@@ -261,8 +251,17 @@ fn full_ticket_stack_certificate_is_tier_invariant() {
             .contexts()
     };
     for (workers, dedup) in [(1, false), (2, true)] {
-        let rendered = both_tiers(|| {
-            certify_ticket_stack_tuned(Pid(0), B, low(), atomic(), workers, dedup)
+        let rendered = both_tiers(|bytecode| {
+            let sim = SimOptions {
+                dedup,
+                explore: ExploreOptions {
+                    workers,
+                    bytecode,
+                    ..ExploreOptions::default()
+                },
+                ..SimOptions::default()
+            };
+            certify_ticket_stack_with(Pid(0), B, low(), atomic(), &sim)
                 .map(|stack| format!("{stack:?}"))
                 .map_err(|e| e.to_string())
         });

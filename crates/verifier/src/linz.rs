@@ -47,7 +47,7 @@ pub fn check_linearizability(
     contexts: &[EnvContext],
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_linearizability_por(
+    check_linearizability_with(
         impl_iface,
         focused,
         programs,
@@ -55,19 +55,22 @@ pub fn check_linearizability(
         validate_history,
         contexts,
         fuel,
-        ccal_core::por::por_enabled(),
+        &ExploreOptions::default(),
     )
 }
 
-/// [`check_linearizability`] with the partial-order reduction explicitly
-/// on or off (contexts marked trace-equivalent by the generator are
-/// skipped and counted as `cases_reduced` when `por` is true).
+/// [`check_linearizability`] under explicit exploration options
+/// ([`ExploreOptions`]): worker count (`1` explores the grid serially on
+/// the calling thread, the reference behavior the forensics replay gate
+/// uses for bit-identical reproduction), partial-order reduction, prefix
+/// and query-point sharing, convergence dedup and the ClightX execution
+/// tier. No option changes the verdict or the evidence.
 ///
 /// # Errors
 ///
 /// As [`check_linearizability`].
 #[allow(clippy::too_many_arguments)]
-pub fn check_linearizability_por(
+pub fn check_linearizability_with(
     impl_iface: &LayerInterface,
     focused: &PidSet,
     programs: &BTreeMap<Pid, ThreadScript>,
@@ -75,49 +78,7 @@ pub fn check_linearizability_por(
     validate_history: &HistoryValidator,
     contexts: &[EnvContext],
     fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
-    check_linearizability_tuned(
-        impl_iface,
-        focused,
-        programs,
-        relation,
-        validate_history,
-        contexts,
-        fuel,
-        ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
-    )
-}
-
-/// [`check_linearizability_por`] with an explicit worker count — `1`
-/// explores the grid serially on the calling thread, the reference
-/// behavior the forensics replay gate uses for bit-identical reproduction
-/// — and explicit prefix-sharing of runs across contexts with common
-/// consumed schedule prefixes (see [`ccal_core::prefix`]).
-/// `deep_share` additionally snapshots the whole game state before every
-/// scheduler decision ([`ccal_core::prefix::SnapshotTrie`]), so a context
-/// diverging at turn `k` forks the deepest snapshot and replays only the
-/// remaining turns; it is effective only when `prefix_share` is on.
-///
-/// # Errors
-///
-/// As [`check_linearizability`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_linearizability_tuned(
-    impl_iface: &LayerInterface,
-    focused: &PidSet,
-    programs: &BTreeMap<Pid, ThreadScript>,
-    relation: &SimRelation,
-    validate_history: &HistoryValidator,
-    contexts: &[EnvContext],
-    fuel: u64,
-    workers: usize,
-    por: bool,
-    prefix_share: bool,
-    deep_share: bool,
+    opts: &ExploreOptions,
 ) -> Result<Obligation, LayerError> {
     // The traced run is a deterministic function of the consumed schedule
     // prefix, so the kernel's game-run helper shares it across contexts
@@ -125,7 +86,7 @@ pub fn check_linearizability_tuned(
     // abstraction + validation are redone per case (cheap, and the
     // diagnostics name the context index).
     let kernel: Kernel<ccal_core::conc::GameState, ccal_core::explore::GameRun> =
-        Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
+        Kernel::new(opts);
     let explored = kernel.explore("linz", contexts, 1, |ci, _| {
         let env = &contexts[ci];
         let (res, log) = kernel.run_game(impl_iface, focused, programs, env, fuel);

@@ -43,7 +43,7 @@ pub fn check_liveness(
     bound: u64,
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_liveness_por(
+    check_liveness_with(
         iface,
         prim,
         args,
@@ -51,19 +51,22 @@ pub fn check_liveness(
         contexts,
         bound,
         fuel,
-        ccal_core::por::por_enabled(),
+        &ExploreOptions::default(),
     )
 }
 
-/// [`check_liveness`] with the partial-order reduction explicitly on or
-/// off (contexts marked trace-equivalent by the generator are skipped and
-/// counted as `cases_reduced` when `por` is true).
+/// [`check_liveness`] under explicit exploration options
+/// ([`ExploreOptions`]): worker count (`1` explores the grid serially on
+/// the calling thread, the reference behavior the forensics replay gate
+/// uses for bit-identical reproduction), partial-order reduction, prefix
+/// and query-point sharing, convergence dedup and the ClightX execution
+/// tier. No option changes the verdict or the evidence.
 ///
 /// # Errors
 ///
 /// As [`check_liveness`].
 #[allow(clippy::too_many_arguments)]
-pub fn check_liveness_por(
+pub fn check_liveness_with(
     iface: &LayerInterface,
     prim: &str,
     args: &[Val],
@@ -71,50 +74,7 @@ pub fn check_liveness_por(
     contexts: &[EnvContext],
     bound: u64,
     fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
-    check_liveness_tuned(
-        iface,
-        prim,
-        args,
-        pid,
-        contexts,
-        bound,
-        fuel,
-        ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
-    )
-}
-
-/// [`check_liveness_por`] with an explicit worker count — `1` explores the
-/// grid serially on the calling thread, the reference behavior the
-/// forensics replay gate uses for bit-identical reproduction — and
-/// explicit prefix-sharing of lower runs across contexts with common
-/// consumed schedule prefixes (see [`ccal_core::prefix`]).
-/// `deep_share` additionally snapshots the machine and the in-flight run
-/// at every environment query point ([`ccal_core::prefix::SnapshotTrie`]),
-/// so a multi-query primitive executes once per distinct schedule path and
-/// later contexts replay only their suffix; it is effective only when
-/// `prefix_share` is on.
-///
-/// # Errors
-///
-/// As [`check_liveness`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_liveness_tuned(
-    iface: &LayerInterface,
-    prim: &str,
-    args: &[Val],
-    pid: Pid,
-    contexts: &[EnvContext],
-    bound: u64,
-    fuel: u64,
-    workers: usize,
-    por: bool,
-    prefix_share: bool,
-    deep_share: bool,
+    opts: &ExploreOptions,
 ) -> Result<Obligation, LayerError> {
     // The machine run is a deterministic function of the consumed schedule
     // prefix, so its result (not the per-case classification, which names
@@ -122,8 +82,7 @@ pub fn check_liveness_tuned(
     // memo; query-point snapshots are plain `RunSnap`s with no extra state.
     type LowerRun = (Result<(), ccal_core::machine::MachineError>, ccal_core::log::Log);
     type LiveSnap = ccal_core::explore::RunSnap<()>;
-    let kernel: Kernel<LiveSnap, LowerRun> =
-        Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
+    let kernel: Kernel<LiveSnap, LowerRun> = Kernel::new(opts);
     let sched_consumed =
         |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
     let snap_point = |k: &ccal_core::prefix::ScheduleKey,
@@ -222,7 +181,9 @@ pub fn check_liveness_tuned(
                 });
             }
         }
-        let mut machine = LayerMachine::new(iface.clone(), pid, env.clone()).with_fuel(fuel);
+        let mut machine = LayerMachine::new(iface.clone(), pid, env.clone())
+            .with_fuel(fuel)
+            .with_bytecode(opts.bytecode);
         drive(&mut machine, env, &mut |m, hook| {
             m.call_prim_ctl(prim, args, hook)
         })

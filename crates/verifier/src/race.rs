@@ -37,75 +37,41 @@ pub fn check_race_freedom(
     contexts: &[EnvContext],
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_race_freedom_por(
+    check_race_freedom_with(
         iface,
         focused,
         programs,
         contexts,
         fuel,
-        ccal_core::por::por_enabled(),
+        &ExploreOptions::default(),
     )
 }
 
-/// [`check_race_freedom`] with the partial-order reduction explicitly on
-/// or off (contexts marked trace-equivalent by the generator are skipped
-/// and counted as `cases_reduced` when `por` is true).
-///
-/// # Errors
-///
-/// As [`check_race_freedom`].
-pub fn check_race_freedom_por(
-    iface: &LayerInterface,
-    focused: &PidSet,
-    programs: &BTreeMap<Pid, ThreadScript>,
-    contexts: &[EnvContext],
-    fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
-    check_race_freedom_tuned(
-        iface,
-        focused,
-        programs,
-        contexts,
-        fuel,
-        ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
-    )
-}
-
-/// [`check_race_freedom_por`] with an explicit worker count — `1` explores
-/// the grid serially on the calling thread, the reference behavior the
-/// forensics replay gate uses for bit-identical reproduction — and
-/// explicit prefix-sharing of runs across contexts with common consumed
-/// schedule prefixes (see [`ccal_core::prefix`]).
-/// `deep_share` additionally snapshots the whole game state before every
-/// scheduler decision ([`ccal_core::prefix::SnapshotTrie`]), so a context
-/// diverging at turn `k` forks the deepest snapshot and replays only the
-/// remaining turns; it is effective only when `prefix_share` is on.
+/// [`check_race_freedom`] under explicit exploration options
+/// ([`ExploreOptions`]): worker count (`1` explores the grid serially on
+/// the calling thread, the reference behavior the forensics replay gate
+/// uses for bit-identical reproduction), partial-order reduction, prefix
+/// and query-point sharing, convergence dedup and the ClightX execution
+/// tier. No option changes the verdict or the evidence.
 ///
 /// # Errors
 ///
 /// As [`check_race_freedom`].
 #[allow(clippy::too_many_arguments)]
-pub fn check_race_freedom_tuned(
+pub fn check_race_freedom_with(
     iface: &LayerInterface,
     focused: &PidSet,
     programs: &BTreeMap<Pid, ThreadScript>,
     contexts: &[EnvContext],
     fuel: u64,
-    workers: usize,
-    por: bool,
-    prefix_share: bool,
-    deep_share: bool,
+    opts: &ExploreOptions,
 ) -> Result<Obligation, LayerError> {
     // The traced run is a deterministic function of the consumed schedule
     // prefix, so the kernel's game-run helper shares it across contexts
     // (memo + whole-`GameState` query-point snapshots); only the per-case
     // classification (which names the context index) is redone.
     let kernel: Kernel<ccal_core::conc::GameState, ccal_core::explore::GameRun> =
-        Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
+        Kernel::new(opts);
     let explored = kernel.explore("race", contexts, 1, |ci, _| {
         let env = &contexts[ci];
         let (res, log) = kernel.run_game(iface, focused, programs, env, fuel);

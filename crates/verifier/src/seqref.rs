@@ -40,7 +40,7 @@ pub fn check_sequence_refinement(
     scripts: &[OpScript],
     fuel: u64,
 ) -> Result<Obligation, LayerError> {
-    check_sequence_refinement_por(
+    check_sequence_refinement_with(
         impl_iface,
         spec_iface,
         relation,
@@ -48,19 +48,22 @@ pub fn check_sequence_refinement(
         contexts,
         scripts,
         fuel,
-        ccal_core::por::por_enabled(),
+        &ExploreOptions::default(),
     )
 }
 
-/// [`check_sequence_refinement`] with the partial-order reduction
-/// explicitly on or off (contexts marked trace-equivalent by the generator
-/// are skipped and counted as `cases_reduced` when `por` is true).
+/// [`check_sequence_refinement`] under explicit exploration options
+/// ([`ExploreOptions`]): worker count (`1` explores the grid serially on
+/// the calling thread, the reference behavior the forensics replay gate
+/// uses for bit-identical reproduction), partial-order reduction, prefix
+/// and query-point sharing, convergence dedup and the ClightX execution
+/// tier. No option changes the verdict or the evidence.
 ///
 /// # Errors
 ///
 /// As [`check_sequence_refinement`].
 #[allow(clippy::too_many_arguments)]
-pub fn check_sequence_refinement_por(
+pub fn check_sequence_refinement_with(
     impl_iface: &LayerInterface,
     spec_iface: &LayerInterface,
     relation: &SimRelation,
@@ -68,49 +71,7 @@ pub fn check_sequence_refinement_por(
     contexts: &[EnvContext],
     scripts: &[OpScript],
     fuel: u64,
-    por: bool,
-) -> Result<Obligation, LayerError> {
-    check_sequence_refinement_tuned(
-        impl_iface,
-        spec_iface,
-        relation,
-        pid,
-        contexts,
-        scripts,
-        fuel,
-        ccal_core::par::default_workers(),
-        por,
-        ccal_core::prefix::prefix_share_enabled(),
-        ccal_core::prefix::prefix_deep_enabled(),
-    )
-}
-
-/// [`check_sequence_refinement_por`] with an explicit worker count — `1`
-/// explores the grid serially on the calling thread, the reference
-/// behavior the forensics replay gate uses for bit-identical reproduction
-/// — and explicit prefix-sharing of impl-machine runs across contexts with
-/// common consumed schedule prefixes (see [`ccal_core::prefix`]).
-/// `deep_share` additionally snapshots the impl machine mid-script at
-/// every environment query point ([`ccal_core::prefix::SnapshotTrie`]), so
-/// contexts diverging mid-call replay only their schedule suffix; it is
-/// effective only when `prefix_share` is on.
-///
-/// # Errors
-///
-/// As [`check_sequence_refinement`].
-#[allow(clippy::too_many_arguments)]
-pub fn check_sequence_refinement_tuned(
-    impl_iface: &LayerInterface,
-    spec_iface: &LayerInterface,
-    relation: &SimRelation,
-    pid: Pid,
-    contexts: &[EnvContext],
-    scripts: &[OpScript],
-    fuel: u64,
-    workers: usize,
-    por: bool,
-    prefix_share: bool,
-    deep_share: bool,
+    opts: &ExploreOptions,
 ) -> Result<Obligation, LayerError> {
     // The impl-machine run is a deterministic function of the consumed
     // schedule prefix and the script index, so it is shared across contexts
@@ -137,8 +98,7 @@ pub fn check_sequence_refinement_tuned(
     #[allow(clippy::items_after_statements)]
     type SeqSnap = ccal_core::explore::RunSnap<(usize, Vec<Val>)>;
     let nscripts = scripts.len();
-    let kernel: Kernel<SeqSnap, ImplRun> =
-        Kernel::new(&ExploreOptions::tuned(workers, por, prefix_share, deep_share));
+    let kernel: Kernel<SeqSnap, ImplRun> = Kernel::new(opts);
     let sched_consumed =
         |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
     // Sequence-refinement convergence fingerprint: the machine fingerprint
@@ -367,8 +327,9 @@ pub fn check_sequence_refinement_tuned(
                 return (outcome, consumed);
             }
         }
-        let mut impl_machine =
-            LayerMachine::new(impl_iface.clone(), pid, env.clone()).with_fuel(fuel);
+        let mut impl_machine = LayerMachine::new(impl_iface.clone(), pid, env.clone())
+            .with_fuel(fuel)
+            .with_bytecode(opts.bytecode);
         let (outcome, over) = match run_script(
             &mut impl_machine,
             si,
@@ -417,7 +378,9 @@ pub fn check_sequence_refinement_tuned(
             );
         };
         let mut spec_machine =
-            LayerMachine::new(spec_iface.clone(), pid, replay_env(&expected, pid)).with_fuel(fuel);
+            LayerMachine::new(spec_iface.clone(), pid, replay_env(&expected, pid))
+                .with_fuel(fuel)
+                .with_bytecode(opts.bytecode);
         let mut spec_rets = Vec::with_capacity(script.len());
         for (name, args) in script {
             match spec_machine.call_prim(name, args) {

@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 (release build + root-package tests), the
-# parallel-vs-serial, POR, prefix-sharing, exploration-kernel,
+# parallel-vs-serial, POR, prefix-sharing, fork-resume, exploration-kernel,
 # bytecode-tier, convergence-dedup, and semantic-sharing differential
-# suites (each optimization both on and under its CCAL_POR=0 /
-# CCAL_PREFIX_SHARE=0 / CCAL_PREFIX_DEEP=0 / CCAL_BYTECODE=0 /
-# CCAL_STATE_DEDUP=0 / CCAL_SHARE_SEMANTIC=0 escape hatch; the kernel
-# differential also reruns under the obsolete CCAL_KERNEL=0 hatch), the
-# engine regression tests, the full workspace tests (on both execution
-# tiers, with the convergence cache off, and with sharing keys pinned),
-# and criterion-free benchmark smoke runs including the B5
-# (whole-prefix), B5d (query-point snapshot), B6 (compiled ClightX
+# suites (each compares an optimization on against the same checks with
+# it off, chosen through explicit `ExploreOptions` fields; the semantic-
+# sharing suite also reruns under its CCAL_SHARE_SEMANTIC=0 escape hatch),
+# the engine regression tests, the full workspace tests (also with
+# sharing keys pinned; `--no-fail-fast`, so one failing crate does not
+# hide the others), and criterion-free benchmark smoke runs including
+# the B5 (whole-prefix), B5d (query-point snapshot), B6 (compiled ClightX
 # bytecode VM), B7 (convergence dedup), and B8 (semantic sharing keys)
-# step-ratio gates. Everything
-# here works without network access — proptest/criterion resolve to the
-# in-repo shim crates. Each stage reports its own wall time so perf
-# regressions in the harness itself are visible.
+# step-ratio gates. Everything here works without network access —
+# proptest/criterion resolve to the in-repo shim crates. Each stage
+# reports its own wall time so perf regressions in the harness itself
+# are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,26 +40,14 @@ stage "differential: parallel + dedup engine vs serial" \
 stage "differential: POR-reduced grid vs full grid (all five checkers)" \
   cargo test -q --test por_differential
 
-stage "differential: full grid re-checked with the escape hatch (CCAL_POR=0)" \
-  env CCAL_POR=0 cargo test -q --test por_differential
-
 stage "differential: prefix-sharing trie vs memo-free engine (all five checkers)" \
   cargo test -q --test prefix_differential
-
-stage "differential: sharing disabled via the escape hatch (CCAL_PREFIX_SHARE=0)" \
-  env CCAL_PREFIX_SHARE=0 cargo test -q --test prefix_differential
-
-stage "differential: deep sharing disabled via the escape hatch (CCAL_PREFIX_DEEP=0)" \
-  env CCAL_PREFIX_DEEP=0 cargo test -q --test prefix_differential
 
 stage "differential: fork-vs-fresh snapshot resume (all snapshots x agreeing contexts)" \
   cargo test -q --test fork_differential
 
 stage "differential: unified exploration kernel (all five checkers, ticket + qlock stacks)" \
   cargo test -q --test kernel_differential
-
-stage "differential: kernel rerun under the obsolete escape hatch (CCAL_KERNEL=0 warns, stays on)" \
-  env CCAL_KERNEL=0 cargo test -q --test kernel_differential
 
 stage "differential: bytecode VM vs interpreter (random programs, proptest)" \
   cargo test -q -p ccal-clightx --test bytecode_differential
@@ -74,9 +61,6 @@ stage "differential: bytecode VM vs interpreter (forensics captures + artifacts)
 stage "differential: convergence dedup on vs off (all five checkers, evidence byte-identity)" \
   cargo test -q -p ccal-forensics --test convergence_differential
 
-stage "differential: convergence differential under the escape hatch (CCAL_STATE_DEDUP=0)" \
-  env CCAL_STATE_DEDUP=0 cargo test -q -p ccal-forensics --test convergence_differential
-
 stage "differential: semantic sharing keys vs pinned families (all five checkers, both tiers, hostile aliasing)" \
   cargo test -q --test sharing_differential
 
@@ -87,16 +71,10 @@ stage "regression: grid sampling, space_size, workers, cache cap" \
   cargo test -q -p ccal-core -- contexts:: par:: por:: sim::
 
 stage "workspace tests" \
-  cargo test --workspace -q
-
-stage "workspace tests on the interpreter tier (escape hatch: CCAL_BYTECODE=0)" \
-  env CCAL_BYTECODE=0 cargo test --workspace -q
-
-stage "workspace tests with the convergence cache off (escape hatch: CCAL_STATE_DEDUP=0)" \
-  env CCAL_STATE_DEDUP=0 cargo test --workspace -q
+  cargo test --workspace -q --no-fail-fast
 
 stage "workspace tests with pinned sharing keys (escape hatch: CCAL_SHARE_SEMANTIC=0)" \
-  env CCAL_SHARE_SEMANTIC=0 cargo test --workspace -q
+  env CCAL_SHARE_SEMANTIC=0 cargo test --workspace -q --no-fail-fast
 
 stage "forensics: shrink/replay selftest (all five checkers)" \
   cargo run -q --release -p ccal-forensics --bin ccal-replay -- --selftest

@@ -9,11 +9,6 @@
 //! byte-identical across every `workers × por × prefix/deep` engine
 //! configuration, and the process-global step counters must reproduce
 //! exactly on repeated serial runs.
-//!
-//! The `CCAL_KERNEL=0` escape hatch is recognized but obsolete (the
-//! pre-kernel checker paths were deleted once this differential passed);
-//! `scripts/verify.sh` reruns this binary with the flag set to exercise
-//! the warn-once path end to end.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -21,6 +16,7 @@ use std::sync::{Arc, Mutex};
 use ccal::core::calculus::{LayerError, Obligation};
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
+use ccal::core::explore::ExploreOptions;
 use ccal::core::id::{Loc, Pid, PidSet};
 use ccal::core::conc::ThreadScript;
 use ccal::core::sim::{
@@ -33,8 +29,8 @@ use ccal::objects::ticket::{
     l0_interface, lock_interface, lock_low_interface, m1_module, r1_relation, TicketEnvPlayer,
 };
 use ccal::verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, lock_history_validator, ticket_bound, OpScript,
+    check_linearizability_with, check_liveness_with, check_race_freedom_with,
+    check_sequence_refinement_with, lock_history_validator, ticket_bound, OpScript,
 };
 
 const B: Loc = Loc(0);
@@ -55,6 +51,18 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// matching memo-free run.
 const WORKERS: [usize; 2] = [1, 4];
 const POR: [bool; 2] = [false, true];
+
+/// One engine configuration; convergence dedup and the tier at their
+/// defaults.
+fn explore(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> ExploreOptions {
+    ExploreOptions {
+        workers,
+        por,
+        prefix_share,
+        deep_share,
+        ..ExploreOptions::default()
+    }
+}
 
 /// Asserts that the kernel-shared run is indistinguishable from the
 /// share-free reference with the same POR setting: identical verdict
@@ -163,11 +171,10 @@ fn sim_on_the_ticket_stack_is_kernel_config_invariant() {
                 Pid(0),
                 &contexts,
                 &args,
-                &SimOptions::default()
-                    .with_prefix_share(share)
-                    .with_deep_share(deep)
-                    .with_workers(workers)
-                    .with_por(por),
+                &SimOptions {
+                    explore: explore(workers, por, share, deep),
+                    ..SimOptions::default()
+                },
             )
         };
         for por in POR {
@@ -199,7 +206,7 @@ fn liveness_on_ticket_acq_is_kernel_config_invariant() {
     // (obligation and starvation counterexample) are compared.
     for bound in [ticket_bound(4, 8, 2), 1] {
         let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_liveness_tuned(
+            check_liveness_with(
                 &iface,
                 "acq",
                 &[Val::Loc(B)],
@@ -207,10 +214,7 @@ fn liveness_on_ticket_acq_is_kernel_config_invariant() {
                 &contexts,
                 bound,
                 FUEL,
-                workers,
-                por,
-                share,
-                deep,
+                &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -241,7 +245,7 @@ fn linearizability_on_ticket_is_kernel_config_invariant() {
         Box::new(|_, _| Err("forced rejection (negative control)".to_owned()));
     for (label, validator, expect_ok) in [("honest", &honest, true), ("reject", &reject, false)] {
         let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_linearizability_tuned(
+            check_linearizability_with(
                 &iface,
                 &focused,
                 &programs,
@@ -249,10 +253,7 @@ fn linearizability_on_ticket_is_kernel_config_invariant() {
                 validator,
                 &contexts,
                 FUEL,
-                workers,
-                por,
-                share,
-                deep,
+                &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -291,8 +292,8 @@ fn race_freedom_is_kernel_config_invariant() {
     let contexts = game_contexts();
     for (label, iface, programs, expect_ok) in &scenarios {
         let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_race_freedom_tuned(
-                iface, &focused, programs, &contexts, FUEL, workers, por, share, deep,
+            check_race_freedom_with(
+                iface, &focused, programs, &contexts, FUEL, &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -327,7 +328,7 @@ fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
     // independent.
     for (label, relation) in [("r1", r1_relation()), ("id", SimRelation::identity())] {
         let run = |workers: usize, por: bool, share: bool, deep: bool| {
-            check_sequence_refinement_tuned(
+            check_sequence_refinement_with(
                 &impl_iface,
                 &lock_interface(),
                 &relation,
@@ -335,10 +336,7 @@ fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
                 &contexts,
                 &scripts,
                 FUEL,
-                workers,
-                por,
-                share,
-                deep,
+                &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -369,26 +367,26 @@ fn qlock_overlay_checkers_are_kernel_config_invariant() {
     let contexts = game_contexts();
     let validator = lock_history_validator();
     for por in POR {
-        let linz_ref = check_linearizability_tuned(
+        let linz_ref = check_linearizability_with(
             &iface, &focused, &programs, &SimRelation::identity(), &validator, &contexts, FUEL,
-            1, por, false, false,
+            &explore(1, por, false, false),
         );
         assert!(linz_ref.is_ok(), "atomic qlock histories linearize");
-        let race_ref = check_race_freedom_tuned(
-            &iface, &focused, &programs, &contexts, FUEL, 1, por, false, false,
+        let race_ref = check_race_freedom_with(
+            &iface, &focused, &programs, &contexts, FUEL, &explore(1, por, false, false),
         );
         assert!(race_ref.is_ok(), "atomic qlock clients are race-free");
         let scripts: Vec<OpScript> = vec![vec![
             ("acq_q".to_owned(), vec![Val::Loc(B)]),
             ("rel_q".to_owned(), vec![Val::Loc(B)]),
         ]];
-        let seq_ref = check_sequence_refinement_tuned(
+        let seq_ref = check_sequence_refinement_with(
             &iface, &iface, &SimRelation::identity(), Pid(0), &contexts, &scripts, FUEL,
-            1, por, false, false,
+            &explore(1, por, false, false),
         );
-        let live_ref = check_liveness_tuned(
+        let live_ref = check_liveness_with(
             &iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL,
-            1, por, false, false,
+            &explore(1, por, false, false),
         );
         assert!(live_ref.is_ok(), "uncontended acq_q completes promptly");
         for workers in WORKERS {
@@ -397,32 +395,33 @@ fn qlock_overlay_checkers_are_kernel_config_invariant() {
                 assert_invisible(
                     &format!("linz {label}"),
                     &linz_ref,
-                    &check_linearizability_tuned(
+                    &check_linearizability_with(
                         &iface, &focused, &programs, &SimRelation::identity(), &validator,
-                        &contexts, FUEL, workers, por, true, deep,
+                        &contexts, FUEL, &explore(workers, por, true, deep),
                     ),
                 );
                 assert_invisible(
                     &format!("race {label}"),
                     &race_ref,
-                    &check_race_freedom_tuned(
-                        &iface, &focused, &programs, &contexts, FUEL, workers, por, true, deep,
+                    &check_race_freedom_with(
+                        &iface, &focused, &programs, &contexts, FUEL,
+                        &explore(workers, por, true, deep),
                     ),
                 );
                 assert_invisible(
                     &format!("seqref {label}"),
                     &seq_ref,
-                    &check_sequence_refinement_tuned(
+                    &check_sequence_refinement_with(
                         &iface, &iface, &SimRelation::identity(), Pid(0), &contexts, &scripts,
-                        FUEL, workers, por, true, deep,
+                        FUEL, &explore(workers, por, true, deep),
                     ),
                 );
                 assert_invisible(
                     &format!("live {label}"),
                     &live_ref,
-                    &check_liveness_tuned(
+                    &check_liveness_with(
                         &iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL,
-                        workers, por, true, deep,
+                        &explore(workers, por, true, deep),
                     ),
                 );
             }
@@ -464,7 +463,7 @@ fn serial_step_counters_are_reproducible() {
     let contexts = ticket_contexts();
     let run = || {
         ccal::core::prefix::steps_reset();
-        let ob = check_liveness_tuned(
+        let ob = check_liveness_with(
             &iface,
             "acq",
             &[Val::Loc(B)],
@@ -472,10 +471,7 @@ fn serial_step_counters_are_reproducible() {
             &contexts,
             ticket_bound(4, 8, 2),
             FUEL,
-            1,
-            true,
-            true,
-            true,
+            &explore(1, true, true, true),
         )
         .expect("acq is starvation-free under the rely");
         (
@@ -494,14 +490,4 @@ fn serial_step_counters_are_reproducible() {
         first.2 + first.3 > 0,
         "the kernel must share at least one lower run on this grid"
     );
-}
-
-#[test]
-fn kernel_escape_hatch_is_recognized_but_obsolete() {
-    let _g = serial();
-    // `CCAL_KERNEL` is parsed (and `CCAL_KERNEL=0` warns once) but the
-    // kernel can no longer be bypassed: the pre-kernel per-checker
-    // exploration paths were deleted. `scripts/verify.sh` reruns this
-    // whole binary with `CCAL_KERNEL=0` to pin that the flag is inert.
-    assert!(ccal::core::explore::kernel_enabled());
 }

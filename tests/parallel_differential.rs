@@ -7,17 +7,40 @@
 
 use std::sync::Arc;
 
+use ccal::core::calculus::LayerError;
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
 use ccal::core::event::EventKind;
+use ccal::core::explore::ExploreOptions;
 use ccal::core::id::{Loc, Pid};
 use ccal::core::layer::{LayerInterface, PrimSpec};
 use ccal::core::sim::{check_prim_refinement, SimOptions, SimRelation};
 use ccal::core::val::Val;
-use ccal::objects::sharedq::{certify_shared_queue_tuned, SharedQEnvPlayer};
-use ccal::objects::ticket::{certify_ticket_stack_tuned, FooEnvPlayer, TicketEnvPlayer};
+use ccal::objects::sharedq::{certify_shared_queue_with, SharedQEnvPlayer};
+use ccal::objects::ticket::{
+    certify_ticket_stack_with, FooEnvPlayer, TicketEnvPlayer, TicketStack,
+};
 
 const B: Loc = Loc(0);
+
+/// Simulation options with the given worker count and upper-run dedup.
+fn sim(workers: usize, dedup: bool) -> SimOptions {
+    SimOptions {
+        dedup,
+        explore: ExploreOptions {
+            workers,
+            ..ExploreOptions::default()
+        },
+        ..SimOptions::default()
+    }
+}
+
+/// Simulation options with the given worker count, reduction off.
+fn sim_without_por(workers: usize) -> SimOptions {
+    let mut sim = sim(workers, true);
+    sim.explore.por = false;
+    sim
+}
 
 fn low_contexts(b: Loc) -> Vec<EnvContext> {
     ContextGen::new(vec![Pid(0), Pid(1)])
@@ -33,13 +56,14 @@ fn atomic_contexts(b: Loc) -> Vec<EnvContext> {
         .contexts()
 }
 
+fn ticket_stack(workers: usize, dedup: bool) -> Result<TicketStack, LayerError> {
+    certify_ticket_stack_with(Pid(0), B, low_contexts(B), atomic_contexts(B), &sim(workers, dedup))
+}
+
 #[test]
 fn ticket_stack_certificates_are_identical_across_workers_and_dedup() {
-    let serial = certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), 1, false)
-        .expect("serial certification succeeds");
-    let parallel =
-        certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), 4, true)
-            .expect("parallel certification succeeds");
+    let serial = ticket_stack(1, false).expect("serial certification succeeds");
+    let parallel = ticket_stack(4, true).expect("parallel certification succeeds");
     assert_eq!(serial.fun_lift.certificate, parallel.fun_lift.certificate);
     assert_eq!(serial.log_lift.certificate, parallel.log_lift.certificate);
     assert_eq!(serial.lock_layer.certificate, parallel.lock_layer.certificate);
@@ -63,9 +87,9 @@ fn shared_queue_certificates_are_identical_across_workers_and_dedup() {
             .with_schedule_len(3)
             .contexts()
     };
-    let serial = certify_shared_queue_tuned(Pid(0), q, contexts(), 1, false)
+    let serial = certify_shared_queue_with(Pid(0), q, contexts(), &sim(1, false))
         .expect("serial certification succeeds");
-    let parallel = certify_shared_queue_tuned(Pid(0), q, contexts(), 4, true)
+    let parallel = certify_shared_queue_with(Pid(0), q, contexts(), &sim(4, true))
         .expect("parallel certification succeeds");
     assert_eq!(serial.certificate, parallel.certificate);
     assert_eq!(serial.judgment(), parallel.judgment());
@@ -97,7 +121,7 @@ fn first_failure_is_selected_by_case_index_in_every_configuration() {
     let args: Vec<Vec<Val>> = (0..10).map(|i| vec![Val::Int(i)]).collect();
     let mut failures = Vec::new();
     for (workers, dedup) in [(1, false), (1, true), (4, false), (4, true), (8, true)] {
-        let opts = SimOptions::default().with_workers(workers).with_dedup(dedup);
+        let opts = sim(workers, dedup);
         let failure = check_prim_refinement(
             &lower, "op", &upper, "op", &SimRelation::identity(), Pid(0), &contexts, &args, &opts,
         )
@@ -148,7 +172,7 @@ fn first_failure_beyond_the_first_chunk_is_stable() {
     assert!(contexts.len() * args.len() > 32, "grid must span 3+ chunks");
     let mut reference: Option<String> = None;
     for workers in [1, 2, 4, 8] {
-        let opts = SimOptions::default().with_workers(workers).with_por(false);
+        let opts = sim_without_por(workers);
         let failure = check_prim_refinement(
             &lower, "op", &upper, "op", &SimRelation::identity(), Pid(0), &contexts, &args, &opts,
         )
@@ -185,7 +209,7 @@ fn parallel_capture_yields_the_index_least_failing_case() {
             Pid(0),
             &buggy::scratch_sensitive_contexts(),
             &[vec![]],
-            &SimOptions::default().with_workers(workers).with_por(false),
+            &sim_without_por(workers),
         )
         .expect_err("the fixture is buggy")
     };
@@ -211,12 +235,8 @@ fn parallel_capture_yields_the_index_least_failing_case() {
 #[test]
 fn dedup_never_changes_the_verdict_or_the_evidence() {
     for workers in [1, 4] {
-        let with_dedup =
-            certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), workers, true)
-                .expect("certification succeeds with dedup");
-        let without =
-            certify_ticket_stack_tuned(Pid(0), B, low_contexts(B), atomic_contexts(B), workers, false)
-                .expect("certification succeeds without dedup");
+        let with_dedup = ticket_stack(workers, true).expect("certification succeeds with dedup");
+        let without = ticket_stack(workers, false).expect("certification succeeds without dedup");
         assert_eq!(
             with_dedup.full_stack.certificate, without.full_stack.certificate,
             "workers={workers}: dedup changed the certificate"

@@ -14,6 +14,7 @@ use ccal::core::calculus::{LayerError, Obligation};
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
 use ccal::core::event::EventKind;
+use ccal::core::explore::ExploreOptions;
 use ccal::core::id::{Loc, Pid, PidSet, QId};
 use ccal::core::layer::{LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
 use ccal::core::machine::MachineError;
@@ -22,9 +23,17 @@ use ccal::core::strategy::ScratchPlayer;
 use ccal::core::val::Val;
 use ccal::objects::ticket::TicketEnvPlayer;
 use ccal::verifier::{
-    check_linearizability_por, check_liveness_por, check_race_freedom_por,
-    check_sequence_refinement_por, fifo_history_validator,
+    check_linearizability_with, check_liveness_with, check_race_freedom_with,
+    check_sequence_refinement_with, fifo_history_validator,
 };
+
+/// Default exploration with the reduction on or off.
+fn por_opts(por: bool) -> ExploreOptions {
+    ExploreOptions {
+        por,
+        ..ExploreOptions::default()
+    }
+}
 
 /// A grid on which the reduction actually fires: two scratch threads with
 /// disjoint locations (mutually independent) next to a ticket contender
@@ -79,7 +88,10 @@ fn sim_refinement_verdict_and_accounting_match_the_full_grid() {
             Pid(0),
             &contexts,
             &args,
-            &SimOptions::default().with_por(por),
+            &SimOptions {
+                explore: por_opts(por),
+                ..SimOptions::default()
+            },
         )
         .expect("identity refinement holds")
     };
@@ -119,10 +131,15 @@ fn sim_first_failure_is_identical_with_and_without_por() {
         (true, 4, false),
         (true, 4, true),
     ] {
-        let opts = SimOptions::default()
-            .with_por(por)
-            .with_workers(workers)
-            .with_dedup(dedup);
+        let opts = SimOptions {
+            dedup,
+            explore: ExploreOptions {
+                workers,
+                por,
+                ..ExploreOptions::default()
+            },
+            ..SimOptions::default()
+        };
         let failure = check_prim_refinement(
             &lower,
             "op",
@@ -176,7 +193,7 @@ fn liveness_verdict_and_failure_match_the_full_grid() {
     let contexts = reducible_contexts(3);
     // Generous bound: the verdict is Ok; accounting must agree.
     let ok = |por: bool| {
-        check_liveness_por(
+        check_liveness_with(
             &wait_for_iface(0),
             "wait",
             &[],
@@ -184,7 +201,7 @@ fn liveness_verdict_and_failure_match_the_full_grid() {
             &contexts,
             64,
             100_000,
-            por,
+            &por_opts(por),
         )
         .expect("trivial wait completes")
     };
@@ -193,7 +210,7 @@ fn liveness_verdict_and_failure_match_the_full_grid() {
     // consumes any scheduling step. Both runs must report the same
     // context index and the same observed step count.
     let over = |por: bool| {
-        check_liveness_por(
+        check_liveness_with(
             &wait_for_iface(1),
             "wait",
             &[],
@@ -201,7 +218,7 @@ fn liveness_verdict_and_failure_match_the_full_grid() {
             &contexts,
             0,
             100_000,
-            por,
+            &por_opts(por),
         )
         .expect_err("a zero-step bound is over-budget somewhere")
     };
@@ -223,7 +240,9 @@ fn race_freedom_verdict_and_failure_match_the_full_grid() {
         ],
     );
     let ok = |por: bool| {
-        check_race_freedom_por(&mx86_hw_interface(), &focused, &safe, &contexts, 50_000, por)
+        check_race_freedom_with(
+            &mx86_hw_interface(), &focused, &safe, &contexts, 50_000, &por_opts(por),
+        )
             .expect("disjoint locations are race-free")
     };
     assert_accounting(&ok(true), &ok(false));
@@ -251,13 +270,13 @@ fn race_freedom_verdict_and_failure_match_the_full_grid() {
         );
     }
     let fail = |por: bool| {
-        check_race_freedom_por(
+        check_race_freedom_with(
             &mx86_hw_interface(),
             &both,
             &racy,
             &racy_contexts,
             50_000,
-            por,
+            &por_opts(por),
         )
         .expect_err("fully preemptible sharing races somewhere")
     };
@@ -300,7 +319,7 @@ fn linearizability_verdict_and_failure_match_the_full_grid() {
         ],
     );
     let run = |iface: &LayerInterface, por: bool| {
-        check_linearizability_por(
+        check_linearizability_with(
             iface,
             &focused,
             &programs,
@@ -308,7 +327,7 @@ fn linearizability_verdict_and_failure_match_the_full_grid() {
             &*fifo_history_validator("deq"),
             &contexts,
             100_000,
-            por,
+            &por_opts(por),
         )
     };
     let on = run(&atomic_queue_iface(None), true).expect("atomic queue is linearizable");
@@ -335,7 +354,7 @@ fn sequence_refinement_verdict_and_failure_match_the_full_grid() {
     let contexts = reducible_contexts(3);
     let scripts = vec![vec![("bump".to_owned(), vec![]); 4]];
     let run = |impl_iface: &LayerInterface, por: bool| {
-        check_sequence_refinement_por(
+        check_sequence_refinement_with(
             impl_iface,
             &counter_iface("ctr-spec", false),
             &SimRelation::identity(),
@@ -343,7 +362,7 @@ fn sequence_refinement_verdict_and_failure_match_the_full_grid() {
             &contexts,
             &scripts,
             100_000,
-            por,
+            &por_opts(por),
         )
     };
     let on = run(&counter_iface("ctr-impl", false), true).expect("identical counters agree");
@@ -437,7 +456,10 @@ proptest! {
                 Pid(0),
                 &contexts,
                 &[vec![], vec![], vec![]],
-                &SimOptions::default().with_por(por),
+                &SimOptions {
+                    explore: por_opts(por),
+                    ..SimOptions::default()
+                },
             )
         };
         match (sim(true), sim(false)) {
@@ -455,8 +477,8 @@ proptest! {
         // 2. Liveness: generous bound when honest, zero bound when broken.
         let bound = if broken { 0 } else { 64 };
         let live = |por: bool| {
-            check_liveness_por(
-                &wait_for_iface(1), "wait", &[], Pid(0), &contexts, bound, 100_000, por,
+            check_liveness_with(
+                &wait_for_iface(1), "wait", &[], Pid(0), &contexts, bound, 100_000, &por_opts(por),
             )
         };
         assert_same_verdict(&live(true), &live(false));
@@ -479,8 +501,9 @@ proptest! {
             // Focused pids must not also be environment players.
             if c1 == 0 {
                 let race = |por: bool| {
-                    check_race_freedom_por(
-                        &mx86_hw_interface(), &focused, &programs, &contexts, 50_000, por,
+                    check_race_freedom_with(
+                        &mx86_hw_interface(), &focused, &programs, &contexts, 50_000,
+                        &por_opts(por),
                     )
                 };
                 assert_same_verdict(&race(true), &race(false));
@@ -500,7 +523,7 @@ proptest! {
             );
             let iface = atomic_queue_iface(if broken { Some(999) } else { None });
             let linz = |por: bool| {
-                check_linearizability_por(
+                check_linearizability_with(
                     &iface,
                     &focused,
                     &programs,
@@ -508,7 +531,7 @@ proptest! {
                     &*fifo_history_validator("deq"),
                     &contexts,
                     100_000,
-                    por,
+                    &por_opts(por),
                 )
             };
             assert_same_verdict(&linz(true), &linz(false));
@@ -518,7 +541,7 @@ proptest! {
         {
             let scripts = vec![vec![("bump".to_owned(), vec![]); 4]];
             let seq = |por: bool| {
-                check_sequence_refinement_por(
+                check_sequence_refinement_with(
                     &counter_iface("ctr-impl", broken),
                     &counter_iface("ctr-spec", false),
                     &SimRelation::identity(),
@@ -526,7 +549,7 @@ proptest! {
                     &contexts,
                     &scripts,
                     100_000,
-                    por,
+                    &por_opts(por),
                 )
             };
             assert_same_verdict(&seq(true), &seq(false));

@@ -18,6 +18,7 @@ use ccal::core::sim::{SimEvidence, SimFailure};
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
 use ccal::core::event::EventKind;
+use ccal::core::explore::ExploreOptions;
 use ccal::core::id::{Loc, Pid, PidSet, QId};
 use ccal::core::layer::{LayerInterface, PrimCtx, PrimRun, PrimSpec, PrimStep};
 use ccal::core::machine::MachineError;
@@ -28,8 +29,8 @@ use ccal::core::strategy::ScratchPlayer;
 use ccal::core::val::Val;
 use ccal::objects::ticket::TicketEnvPlayer;
 use ccal::verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, fifo_history_validator,
+    check_linearizability_with, check_liveness_with, check_race_freedom_with,
+    check_sequence_refinement_with, fifo_history_validator,
 };
 
 /// The engine configurations every checker is compared across: the
@@ -37,6 +38,18 @@ use ccal::verifier::{
 /// on must be indistinguishable from the matching memo-free run.
 const WORKERS: [usize; 2] = [1, 4];
 const POR: [bool; 2] = [false, true];
+
+/// One engine configuration; convergence dedup and the tier at their
+/// defaults.
+fn explore(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> ExploreOptions {
+    ExploreOptions {
+        workers,
+        por,
+        prefix_share,
+        deep_share,
+        ..ExploreOptions::default()
+    }
+}
 
 /// A grid with mixed sharing behavior: the contexts are full-script
 /// keyed, the contender forces some lower runs to consume the whole
@@ -146,11 +159,10 @@ fn sim_refinement_is_identical_with_and_without_sharing() {
                 Pid(0),
                 &contexts,
                 &args,
-                &SimOptions::default()
-                    .with_prefix_share(share)
-                    .with_deep_share(deep)
-                    .with_workers(workers)
-                    .with_por(por),
+                &SimOptions {
+                    explore: explore(workers, por, share, deep),
+                    ..SimOptions::default()
+                },
             )
         };
         for por in POR {
@@ -252,12 +264,11 @@ fn setup_skips_and_failures_stay_keyed_at_their_consumed_depth() {
     for broken in [false, true] {
         let upper = gated_upper_iface(broken);
         let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            let mut opts = SimOptions::default()
-                .with_prefix_share(share)
-                .with_deep_share(deep)
-                .with_workers(workers)
-                .with_por(por);
-            opts.setup = vec![("gate".to_owned(), Vec::new())];
+            let opts = SimOptions {
+                setup: vec![("gate".to_owned(), Vec::new())],
+                explore: explore(workers, por, share, deep),
+                ..SimOptions::default()
+            };
             check_prim_refinement(
                 &lower,
                 "op",
@@ -320,7 +331,7 @@ fn liveness_is_identical_with_and_without_sharing() {
     let contexts = grid(3);
     for bound in [64, 0] {
         let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_liveness_tuned(
+            check_liveness_with(
                 &wait_for_iface(1),
                 "wait",
                 &[],
@@ -328,10 +339,7 @@ fn liveness_is_identical_with_and_without_sharing() {
                 &contexts,
                 bound,
                 100_000,
-                workers,
-                por,
-                share,
-                deep,
+                &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -387,16 +395,13 @@ fn race_freedom_is_identical_with_and_without_sharing() {
             );
         }
         let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_race_freedom_tuned(
+            check_race_freedom_with(
                 &mx86_hw_interface(),
                 &pids,
                 &programs,
                 &contexts,
                 50_000,
-                workers,
-                por,
-                share,
-                deep,
+                &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -450,7 +455,7 @@ fn linearizability_is_identical_with_and_without_sharing() {
     for broken in [false, true] {
         let iface = atomic_queue_iface(if broken { Some(999) } else { None });
         let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_linearizability_tuned(
+            check_linearizability_with(
                 &iface,
                 &focused,
                 &programs,
@@ -458,10 +463,7 @@ fn linearizability_is_identical_with_and_without_sharing() {
                 &*fifo_history_validator("deq"),
                 &contexts,
                 100_000,
-                workers,
-                por,
-                share,
-                deep,
+                &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -491,7 +493,7 @@ fn sequence_refinement_is_identical_with_and_without_sharing() {
         let impl_iface = counter_iface("ctr-impl", broken);
         let spec_iface = counter_iface("ctr-spec", false);
         let run = |share: bool, deep: bool, workers: usize, por: bool| {
-            check_sequence_refinement_tuned(
+            check_sequence_refinement_with(
                 &impl_iface,
                 &spec_iface,
                 &SimRelation::identity(),
@@ -499,10 +501,7 @@ fn sequence_refinement_is_identical_with_and_without_sharing() {
                 &contexts,
                 &scripts,
                 100_000,
-                workers,
-                por,
-                share,
-                deep,
+                &explore(workers, por, share, deep),
             )
         };
         for por in POR {
@@ -582,11 +581,10 @@ proptest! {
                 Pid(0),
                 &contexts,
                 &[vec![], vec![], vec![]],
-                &SimOptions::default()
-                    .with_prefix_share(share)
-                    .with_deep_share(deep)
-                    .with_workers(workers)
-                    .with_por(por),
+                &SimOptions {
+                    explore: explore(workers, por, share, deep),
+                    ..SimOptions::default()
+                },
             )
         };
         assert_sim_invisible("sim", &sim(false, 1), &sim(true, workers));
@@ -594,9 +592,9 @@ proptest! {
         // 2. Liveness.
         let bound = if broken { 0 } else { 64 };
         let live = |share: bool, workers: usize| {
-            check_liveness_tuned(
+            check_liveness_with(
                 &wait_for_iface(1), "wait", &[], Pid(0), &contexts, bound, 100_000,
-                workers, por, share, deep,
+                &explore(workers, por, share, deep),
             )
         };
         assert_invisible("live", &live(false, 1), &live(true, workers));
@@ -617,9 +615,9 @@ proptest! {
                 );
             }
             let race = |share: bool, workers: usize| {
-                check_race_freedom_tuned(
+                check_race_freedom_with(
                     &mx86_hw_interface(), &focused, &programs, &contexts, 50_000,
-                    workers, por, share, deep,
+                    &explore(workers, por, share, deep),
                 )
             };
             assert_invisible("race", &race(false, 1), &race(true, workers));
@@ -638,7 +636,7 @@ proptest! {
             );
             let iface = atomic_queue_iface(if broken { Some(999) } else { None });
             let linz = |share: bool, workers: usize| {
-                check_linearizability_tuned(
+                check_linearizability_with(
                     &iface,
                     &focused,
                     &programs,
@@ -646,10 +644,7 @@ proptest! {
                     &*fifo_history_validator("deq"),
                     &contexts,
                     100_000,
-                    workers,
-                    por,
-                    share,
-                    deep,
+                    &explore(workers, por, share, deep),
                 )
             };
             assert_invisible("linz", &linz(false, 1), &linz(true, workers));
@@ -659,7 +654,7 @@ proptest! {
         {
             let scripts = vec![vec![("bump".to_owned(), vec![]); 4]];
             let seq = |share: bool, workers: usize| {
-                check_sequence_refinement_tuned(
+                check_sequence_refinement_with(
                     &counter_iface("ctr-impl", broken),
                     &counter_iface("ctr-spec", false),
                     &SimRelation::identity(),
@@ -667,10 +662,7 @@ proptest! {
                     &contexts,
                     &scripts,
                     100_000,
-                    workers,
-                    por,
-                    share,
-                    deep,
+                    &explore(workers, por, share, deep),
                 )
             };
             assert_invisible("seqref", &seq(false, 1), &seq(true, workers));

@@ -33,6 +33,7 @@ use ccal::core::calculus::{LayerError, Obligation};
 use ccal::core::contexts::ContextGen;
 use ccal::core::env::EnvContext;
 use ccal::core::event::EventKind;
+use ccal::core::explore::ExploreOptions;
 use ccal::core::fingerprint::{share_key, ShareKey};
 use ccal::core::id::{Loc, Pid, PidSet, QId};
 use ccal::core::layer::{LayerInterface, PrimSpec};
@@ -44,8 +45,8 @@ use ccal::core::strategy::ScratchPlayer;
 use ccal::core::val::Val;
 use ccal::objects::ticket::TicketEnvPlayer;
 use ccal::verifier::{
-    check_linearizability_tuned, check_liveness_tuned, check_race_freedom_tuned,
-    check_sequence_refinement_tuned, fifo_history_validator,
+    check_linearizability_with, check_liveness_with, check_race_freedom_with,
+    check_sequence_refinement_with, fifo_history_validator,
 };
 use ccal_certd::registry::{self, UnitOutcome, WarmMap};
 use ccal_certd::CertParams;
@@ -221,6 +222,18 @@ const WORKERS: [usize; 2] = [1, 4];
 const POR: [bool; 2] = [false, true];
 const DEEP: [bool; 2] = [false, true];
 
+/// One engine configuration; convergence dedup and the tier at their
+/// defaults.
+fn explore(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> ExploreOptions {
+    ExploreOptions {
+        workers,
+        por,
+        prefix_share,
+        deep_share,
+        ..ExploreOptions::default()
+    }
+}
+
 #[test]
 fn sim_refinement_matches_between_shared_and_pinned_twin_grids() {
     let _guard = serial();
@@ -257,12 +270,11 @@ fn sim_refinement_matches_between_shared_and_pinned_twin_grids() {
                 // so with dedup on the second half would be answered before
                 // the family-keyed memo is ever consulted — family sharing
                 // must be the live mechanism here.
-                &SimOptions::default()
-                    .with_dedup(false)
-                    .with_prefix_share(true)
-                    .with_deep_share(deep)
-                    .with_workers(workers)
-                    .with_por(por),
+                &SimOptions {
+                    dedup: false,
+                    explore: explore(workers, por, true, deep),
+                    ..SimOptions::default()
+                },
             )
         };
         for por in POR {
@@ -324,8 +336,9 @@ fn liveness_matches_between_shared_and_pinned_twin_grids() {
     let family = twin_family(&iface);
     for bound in [64, 0] {
         let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
-            check_liveness_tuned(
-                &iface, "wait", &[], Pid(0), contexts, bound, 100_000, workers, por, true, deep,
+            check_liveness_with(
+                &iface, "wait", &[], Pid(0), contexts, bound, 100_000,
+                &explore(workers, por, true, deep),
             )
         };
         for por in POR {
@@ -358,8 +371,8 @@ fn race_freedom_matches_between_shared_and_pinned_twin_grids() {
         ],
     );
     let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
-        check_race_freedom_tuned(
-            &iface, &focused, &programs, contexts, 50_000, workers, por, true, deep,
+        check_race_freedom_with(
+            &iface, &focused, &programs, contexts, 50_000, &explore(workers, por, true, deep),
         )
     };
     for por in POR {
@@ -412,7 +425,7 @@ fn linearizability_matches_between_shared_and_pinned_twin_grids() {
         let iface = queue_iface(broken);
         let family = twin_family(&iface);
         let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
-            check_linearizability_tuned(
+            check_linearizability_with(
                 &iface,
                 &focused,
                 &programs,
@@ -420,10 +433,7 @@ fn linearizability_matches_between_shared_and_pinned_twin_grids() {
                 &*fifo_history_validator("deq"),
                 contexts,
                 100_000,
-                workers,
-                por,
-                true,
-                deep,
+                &explore(workers, por, true, deep),
             )
         };
         for por in POR {
@@ -452,7 +462,7 @@ fn sequence_refinement_matches_between_shared_and_pinned_twin_grids() {
         let spec_iface = counter_iface("ctr-spec", false);
         let family = twin_family(&impl_iface);
         let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
-            check_sequence_refinement_tuned(
+            check_sequence_refinement_with(
                 &impl_iface,
                 &spec_iface,
                 &SimRelation::identity(),
@@ -460,10 +470,7 @@ fn sequence_refinement_matches_between_shared_and_pinned_twin_grids() {
                 contexts,
                 &scripts,
                 100_000,
-                workers,
-                por,
-                true,
-                deep,
+                &explore(workers, por, true, deep),
             )
         };
         for por in POR {
@@ -547,13 +554,13 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
         let machine_b = op_machine(&src_b);
         let spec_a = op_spec("U-op-A");
         let spec_b = op_spec("U-op-B");
-        let base_opts = SimOptions::default()
-            .with_prefix_share(true)
-            .with_deep_share(true)
-            .with_state_dedup(true)
-            .with_bytecode(bytecode)
-            .with_workers(1)
-            .with_por(true);
+        let base_opts = SimOptions {
+            explore: ExploreOptions {
+                bytecode,
+                ..explore(1, true, true, true)
+            },
+            ..SimOptions::default()
+        };
         let key_of = |src: &str, iface: &LayerInterface| -> ShareKey {
             share_key(
                 &[("M", src)],
@@ -592,7 +599,10 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
                 Pid(0),
                 &aliasing_grid(family),
                 &args,
-                &base_opts.clone().with_warm(warm.clone()),
+                &SimOptions {
+                    warm: Some(warm.clone()),
+                    ..base_opts.clone()
+                },
             );
             let w1 = warm.stats();
             let work = (
@@ -679,13 +689,14 @@ fn interpreter_tier_convergence_dedup_is_live_and_invisible() {
             Pid(0),
             &grid(),
             &args,
-            &SimOptions::default()
-                .with_prefix_share(true)
-                .with_deep_share(true)
-                .with_bytecode(false)
-                .with_state_dedup(state_dedup)
-                .with_workers(1)
-                .with_por(false),
+            &SimOptions {
+                explore: ExploreOptions {
+                    bytecode: false,
+                    state_dedup,
+                    ..explore(1, false, true, true)
+                },
+                ..SimOptions::default()
+            },
         )
     };
     let reference = run(false);
