@@ -12,10 +12,9 @@
 //! certifications of the nine-unit ticket stack — at each schedule
 //! length:
 //!
-//! * **pinned** — `CCAL_SHARE_SEMANTIC=0` semantics with no warm state:
-//!   the prefix-memo family is the unit fingerprint and every unit of
-//!   every request rebuilds its exploration state from zero (the
-//!   engine's pre-ShareKey per-request behaviour);
+//! * **cold** — no warm state: every unit of every request rebuilds its
+//!   exploration state from zero (the engine's pre-ShareKey per-request
+//!   behaviour);
 //! * **semantic** — units are keyed by their semantic `ShareKey` and draw
 //!   warm state from one [`WarmMap`] that lives across the session, the
 //!   daemon's actual flow. The nine units hash into three share
@@ -24,7 +23,7 @@
 //!
 //! The per-request breakdown is printed and recorded so the two reuse
 //! axes stay visible: the ticket stack's units check *disjoint*
-//! primitives, so its first-request atom-steps match the pinned arm's
+//! primitives, so its first-request atom-steps match the cold arm's
 //! (family siblings share a key space but no completed computations) and
 //! the session win is cross-request. The *cross-unit* win inside a
 //! single request needs units whose runs overlap — the qlock stack's
@@ -35,10 +34,10 @@
 //! This binary owns its process, so the process-global step counters are
 //! exact; it doubles as the acceptance gate for semantic sharing: at
 //! `L = 5` the semantic session's lower-machine atom-steps must be at
-//! most 0.5 of the pinned session's — a counter ratio, not a wall-clock
+//! most 0.5 of the cold session's — a counter ratio, not a wall-clock
 //! one, so the gate holds on single-core and noisy hosts. Both arms must
 //! certify with identical case counts (asserted here; byte-identity of
-//! verdicts and evidence across the sharing modes is pinned by
+//! verdicts and evidence between cold and warm runs is pinned by
 //! `tests/sharing_differential.rs`).
 //!
 //! It also emits `BENCH_8.json` at the repo root — per-length session
@@ -51,7 +50,6 @@ use std::fmt::Write as _;
 use ccal_certd::proto::Lease;
 use ccal_certd::registry::{run_lease, stack_units, WarmMap};
 use ccal_certd::CertParams;
-use ccal_core::prefix::ShareSemanticOverride;
 
 /// One unit's accounting within one request.
 struct UnitRow {
@@ -61,11 +59,9 @@ struct UnitRow {
     family_hits: u64,
 }
 
-/// One certification of a full stack. `semantic` selects the sharing
-/// mode (scoped override, not the environment flag); `warm` is the
-/// daemon-style warm map the semantic arms thread through.
-fn certify_stack(stack: &str, len: usize, semantic: bool, warm: Option<&WarmMap>) -> Vec<UnitRow> {
-    let _mode = ShareSemanticOverride::force(semantic);
+/// One certification of a full stack. `warm` is the daemon-style warm
+/// map the semantic arms thread through; `None` runs every unit cold.
+fn certify_stack(stack: &str, len: usize, warm: Option<&WarmMap>) -> Vec<UnitRow> {
     let params = CertParams {
         schedule_len: len,
         ..CertParams::default()
@@ -119,21 +115,21 @@ struct SharingRow {
     schedule_len: usize,
     /// Cases discharged by one request (identical across arms/requests).
     cases: usize,
-    pinned: Vec<Vec<UnitRow>>,
+    cold: Vec<Vec<UnitRow>>,
     semantic: Vec<Vec<UnitRow>>,
 }
 
 impl SharingRow {
     fn measure(len: usize) -> SharingRow {
-        let pinned: Vec<_> = (0..REQUESTS)
-            .map(|_| certify_stack("ticket", len, false, None))
+        let cold: Vec<_> = (0..REQUESTS)
+            .map(|_| certify_stack("ticket", len, None))
             .collect();
         let warm = WarmMap::new();
         let semantic: Vec<_> = (0..REQUESTS)
-            .map(|_| certify_stack("ticket", len, true, Some(&warm)))
+            .map(|_| certify_stack("ticket", len, Some(&warm)))
             .collect();
-        let cases: usize = pinned[0].iter().map(|r| r.cases).sum();
-        for req in pinned.iter().chain(&semantic) {
+        let cases: usize = cold[0].iter().map(|r| r.cases).sum();
+        for req in cold.iter().chain(&semantic) {
             assert_eq!(
                 cases,
                 req.iter().map(|r| r.cases).sum::<usize>(),
@@ -171,24 +167,24 @@ impl SharingRow {
         SharingRow {
             schedule_len: len,
             cases,
-            pinned,
+            cold,
             semantic,
         }
     }
 
-    fn pinned_steps(&self) -> u64 {
-        self.pinned.iter().map(|r| steps_total(r)).sum()
+    fn cold_steps(&self) -> u64 {
+        self.cold.iter().map(|r| steps_total(r)).sum()
     }
 
     fn semantic_steps(&self) -> u64 {
         self.semantic.iter().map(|r| steps_total(r)).sum()
     }
 
-    /// The B8 acceptance metric: semantic-session over pinned-session
+    /// The B8 acceptance metric: semantic-session over cold-session
     /// lower-machine atom-steps (lower is better; the gate requires
     /// ≤ 0.5 at `L = 5`).
     fn atom_step_ratio(&self) -> f64 {
-        self.semantic_steps() as f64 / self.pinned_steps().max(1) as f64
+        self.semantic_steps() as f64 / self.cold_steps().max(1) as f64
     }
 }
 
@@ -197,17 +193,17 @@ impl SharingRow {
 /// `acq_q`'s completed checked runs through the shared family.
 struct QlockRow {
     schedule_len: usize,
-    pinned: Vec<UnitRow>,
+    cold: Vec<UnitRow>,
     semantic: Vec<UnitRow>,
 }
 
 impl QlockRow {
     fn measure(len: usize) -> QlockRow {
-        let pinned = certify_stack("qlock", len, false, None);
+        let cold = certify_stack("qlock", len, None);
         let warm = WarmMap::new();
-        let semantic = certify_stack("qlock", len, true, Some(&warm));
+        let semantic = certify_stack("qlock", len, Some(&warm));
         assert_eq!(
-            pinned.iter().map(|r| r.cases).sum::<usize>(),
+            cold.iter().map(|r| r.cases).sum::<usize>(),
             semantic.iter().map(|r| r.cases).sum::<usize>(),
             "L={len}: sharing must not change the discharged case count"
         );
@@ -216,15 +212,15 @@ impl QlockRow {
             "L={len}: rel_q must start warm from acq_q within one request"
         );
         assert!(
-            semantic[1].steps < pinned[1].steps,
+            semantic[1].steps < cold[1].steps,
             "L={len}: rel_q's setup must resume acq_q's completed runs \
-             (semantic {} vs pinned {} atom-steps)",
+             (semantic {} vs cold {} atom-steps)",
             semantic[1].steps,
-            pinned[1].steps
+            cold[1].steps
         );
         QlockRow {
             schedule_len: len,
-            pinned,
+            cold,
             semantic,
         }
     }
@@ -234,8 +230,8 @@ fn render_rows(rows: &[SharingRow], qlock: &[QlockRow]) -> String {
     let mut out = String::from(
         "B8 — semantic sharing keys: ticket-stack service session \
          (3 requests, lower-machine atom-steps)\n\
-         | L | cases/req | pinned | semantic | ratio | sem req1/req2/req3 |\n\
-         |---|-----------|--------|----------|-------|--------------------|\n",
+         | L | cases/req | cold | semantic | ratio | sem req1/req2/req3 |\n\
+         |---|-----------|------|----------|-------|--------------------|\n",
     );
     for r in rows {
         let per_req: Vec<String> = r
@@ -248,7 +244,7 @@ fn render_rows(rows: &[SharingRow], qlock: &[QlockRow]) -> String {
             "| {} | {} | {} | {} | {:.3} | {} |",
             r.schedule_len,
             r.cases,
-            r.pinned_steps(),
+            r.cold_steps(),
             r.semantic_steps(),
             r.atom_step_ratio(),
             per_req.join("/"),
@@ -257,17 +253,17 @@ fn render_rows(rows: &[SharingRow], qlock: &[QlockRow]) -> String {
     out.push_str(
         "\nB8 — qlock cross-unit reuse within one request (rel_q resumes \
          acq_q's completed runs)\n\
-         | L | acq_q pin/sem | rel_q pin/sem |\n\
-         |---|---------------|---------------|\n",
+         | L | acq_q cold/sem | rel_q cold/sem |\n\
+         |---|----------------|----------------|\n",
     );
     for r in qlock {
         let _ = writeln!(
             out,
             "| {} | {}/{} | {}/{} |",
             r.schedule_len,
-            r.pinned[0].steps,
+            r.cold[0].steps,
             r.semantic[0].steps,
-            r.pinned[1].steps,
+            r.cold[1].steps,
             r.semantic[1].steps,
         );
     }
@@ -290,17 +286,17 @@ fn main() {
     assert!(
         gate.atom_step_ratio() <= 0.5,
         "B8 acceptance: the semantic-sharing session must retire <= 0.5 of \
-         the pinned-family baseline's lower-run atom-steps at L=5, got {} \
+         the cold baseline's lower-run atom-steps at L=5, got {} \
          of {} ({:.2})",
         gate.semantic_steps(),
-        gate.pinned_steps(),
+        gate.cold_steps(),
         gate.atom_step_ratio()
     );
     println!(
-        "B8 acceptance: L=5 atom-step ratio {:.3} <= 0.5 (semantic {} vs pinned {})",
+        "B8 acceptance: L=5 atom-step ratio {:.3} <= 0.5 (semantic {} vs cold {})",
         gate.atom_step_ratio(),
         gate.semantic_steps(),
-        gate.pinned_steps()
+        gate.cold_steps()
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
@@ -331,8 +327,8 @@ fn render_json(rows: &[SharingRow], qlock: &[QlockRow]) -> String {
         "{{\n  \"hardware_threads\": {hw},\n  \"requests\": {REQUESTS},\n  \"b8\": [\n"
     );
     for (i, r) in rows.iter().enumerate() {
-        let pinned_reqs: Vec<String> = r
-            .pinned
+        let cold_reqs: Vec<String> = r
+            .cold
             .iter()
             .map(|req| steps_total(req).to_string())
             .collect();
@@ -344,15 +340,15 @@ fn render_json(rows: &[SharingRow], qlock: &[QlockRow]) -> String {
         let _ = write!(
             out,
             "    {{\"len\": {}, \"cases_per_request\": {}, \
-             \"atom_steps_pinned\": {}, \"atom_steps_semantic\": {}, \
-             \"ratio\": {:.4}, \"pinned_requests\": [{}], \
+             \"atom_steps_cold\": {}, \"atom_steps_semantic\": {}, \
+             \"ratio\": {:.4}, \"cold_requests\": [{}], \
              \"semantic_requests\": [{}],\n    \"units_first_request\": ",
             r.schedule_len,
             r.cases,
-            r.pinned_steps(),
+            r.cold_steps(),
             r.semantic_steps(),
             r.atom_step_ratio(),
-            pinned_reqs.join(", "),
+            cold_reqs.join(", "),
             semantic_reqs.join(", "),
         );
         render_units(&mut out, &r.semantic[0]);
@@ -365,13 +361,13 @@ fn render_json(rows: &[SharingRow], qlock: &[QlockRow]) -> String {
     for (i, r) in qlock.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"len\": {}, \"acq_q_pinned\": {}, \"acq_q_semantic\": {}, \
-             \"rel_q_pinned\": {}, \"rel_q_semantic\": {}, \
+            "    {{\"len\": {}, \"acq_q_cold\": {}, \"acq_q_semantic\": {}, \
+             \"rel_q_cold\": {}, \"rel_q_semantic\": {}, \
              \"rel_q_family_hits\": {}}}",
             r.schedule_len,
-            r.pinned[0].steps,
+            r.cold[0].steps,
             r.semantic[0].steps,
-            r.pinned[1].steps,
+            r.cold[1].steps,
             r.semantic[1].steps,
             r.semantic[1].family_hits,
         );

@@ -43,9 +43,7 @@ pub struct Lease {
     pub fingerprint: String,
     /// The unit's semantic sharing key — the warm-state key on the
     /// shard. Units of one stack whose lower machines are content-equal
-    /// carry the same key and share one warm exploration state; equal to
-    /// `fingerprint` when semantic sharing is disabled
-    /// (`CCAL_SHARE_SEMANTIC=0`).
+    /// carry the same key and share one warm exploration state.
     pub share: String,
     /// Exploration parameters.
     pub params: CertParams,

@@ -54,8 +54,7 @@ pub struct UnitDef {
     pub fingerprint: ContentHash,
     /// Semantic sharing key (32 hex digits): the content identity of the
     /// unit's lower-machine exploration family. Units with equal keys
-    /// share one warm exploration state; equals the fingerprint rendering
-    /// when semantic sharing is disabled (`CCAL_SHARE_SEMANTIC=0`).
+    /// share one warm exploration state.
     pub share: String,
     /// Flat grid size (`contexts × argument vectors`), the leaseable
     /// index space.
@@ -113,9 +112,8 @@ impl CtxSpec {
         // The structural setters re-key the family to keep accidental
         // cross-family memo aliasing impossible, so `with_family` must
         // come after them — `ContextGen` debug-asserts this ordering.
-        // The pinned family is the unit's semantic sharing key (or its
-        // fingerprint with `CCAL_SHARE_SEMANTIC=0`), chosen by
-        // `run_unit`, so content-equal lower machines share warm state.
+        // The pinned family is the unit's semantic sharing key, chosen
+        // by `run_unit`, so content-equal lower machines share warm state.
         let gen = gen
             .with_schedule_len(params.schedule_len)
             .with_por(params.por);
@@ -164,8 +162,7 @@ fn front_end(name: &str, src: &str) -> Result<ccal_core::module::Module, String>
 }
 
 /// Resolves a stack into its obligation list, in pipeline order.
-fn units(stack: &str, params: &CertParams) -> Result<Vec<Unit>, String> {
-    let _ = params;
+fn units(stack: &str) -> Result<Vec<Unit>, String> {
     let mut out = Vec::new();
     match stack {
         "ticket" => {
@@ -374,17 +371,6 @@ fn unit_share_key(unit: &Unit, params: &CertParams) -> ShareKey {
     )
 }
 
-/// The warm-state key `run_unit` pins the exploration family to: the
-/// semantic sharing key, or the certificate fingerprint when semantic
-/// sharing is disabled (restoring strictly per-unit reuse).
-fn unit_share_string(stack: &str, unit: &Unit, params: &CertParams) -> String {
-    if prefix::share_semantic_effective() {
-        unit_share_key(unit, params).to_string()
-    } else {
-        unit_fingerprint(stack, unit, params).to_string()
-    }
-}
-
 /// Process-global count of full stack decompositions (front-end runs,
 /// interface construction, per-unit fingerprinting). The manifest fast
 /// path is asserted against this: a fully-clean recertify must answer
@@ -424,14 +410,14 @@ pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
 /// Unknown stacks and ClightX front-end failures.
 pub fn stack_units(stack: &str, params: &CertParams) -> Result<Vec<UnitDef>, String> {
     DECOMPOSITIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    units(stack, params)?
+    units(stack)?
         .iter()
         .map(|u| {
             let ncases = u.ctx.build(params, None).len() * u.args.len();
             Ok(UnitDef {
                 name: u.name.clone(),
                 fingerprint: unit_fingerprint(stack, u, params),
-                share: unit_share_string(stack, u, params),
+                share: unit_share_key(u, params).to_string(),
                 ncases,
             })
         })
@@ -455,7 +441,7 @@ pub fn run_unit(
     window: Option<(usize, usize)>,
     warm: Option<&SimWarm>,
 ) -> Result<UnitOutcome, String> {
-    let all = units(stack, params)?;
+    let all = units(stack)?;
     let unit = all
         .iter()
         .find(|u| u.name == unit_name)
@@ -463,13 +449,8 @@ pub fn run_unit(
     // Pin the schedule-key family to the semantic sharing key so
     // content-equal lower machines (across the units of one stack, and
     // across requests through the warm map) address one memo/snapshot
-    // key space; with semantic sharing disabled, fall back to the unit
-    // fingerprint — strictly per-unit reuse, as before.
-    let family = if prefix::share_semantic_effective() {
-        unit_share_key(unit, params).family()
-    } else {
-        unit_fingerprint(stack, unit, params).low64()
-    };
+    // key space.
+    let family = unit_share_key(unit, params).family();
     let contexts = unit.ctx.build(params, Some(family));
     let sim = sim_options(params, unit, window, warm);
     match check_prim_refinement(
@@ -502,8 +483,7 @@ pub fn run_unit(
 /// explored over one context-grid structure, so every entry a lookup can
 /// hit describes the identical deterministic computation — whether the
 /// hitter is a re-run of the same unit, a different unit of the same
-/// family, or a later request. (With `CCAL_SHARE_SEMANTIC=0` the key
-/// degenerates to the unit fingerprint and reuse is strictly per-unit.)
+/// family, or a later request.
 #[derive(Debug, Default)]
 pub struct WarmMap {
     map: Mutex<std::collections::HashMap<String, SimWarm>>,
@@ -584,17 +564,8 @@ pub fn run_lease(lease: &Lease, warm: Option<&SimWarm>) -> ChunkReport {
 mod tests {
     use super::*;
 
-    /// Serializes this module's tests: share strings and families depend
-    /// on the process-global semantic-sharing mode, which two of them
-    /// force (`ShareSemanticOverride`) while the others read it.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static SERIAL: Mutex<()> = Mutex::new(());
-        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn stacks_resolve_with_distinct_stable_fingerprints() {
-        let _serial = serial();
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("ticket resolves");
         let names: Vec<&str> = ticket.iter().map(|u| u.name.as_str()).collect();
@@ -632,7 +603,6 @@ mod tests {
     /// silently re-key stored certificates.
     #[test]
     fn default_parameters_keep_their_store_keys() {
-        let _serial = serial();
         const TICKET: [(&str, &str, &str); 9] = [
             ("funlift/acq", "409fe4db178398becb3d577c6cb12f9c", "a7ce38797c1b317af8b39152eeb0060c"),
             ("funlift/f", "987380cdeb9a9b43d7988a561410d94b", "a7ce38797c1b317af8b39152eeb0060c"),
@@ -659,9 +629,6 @@ mod tests {
             for (u, (name, fingerprint, share)) in units.iter().zip(pins) {
                 assert_eq!(u.name, *name);
                 assert_eq!(u.fingerprint.to_string(), *fingerprint, "{stack}/{name} fingerprint");
-                // With semantic sharing disabled (`CCAL_SHARE_SEMANTIC=0`)
-                // the share string is the unit fingerprint by design.
-                let share = if prefix::share_semantic_effective() { share } else { fingerprint };
                 assert_eq!(u.share, *share, "{stack}/{name} share");
             }
         }
@@ -669,7 +636,6 @@ mod tests {
 
     #[test]
     fn parameter_changes_dirty_the_fingerprint() {
-        let _serial = serial();
         let base = CertParams::default();
         let mut longer = base.clone();
         longer.schedule_len += 1;
@@ -696,10 +662,6 @@ mod tests {
 
     #[test]
     fn semantic_share_keys_group_units_into_families() {
-        let _serial = serial();
-        // Pin the mode: the suite also runs under CCAL_SHARE_SEMANTIC=0,
-        // where shares legitimately degenerate to fingerprints.
-        let _on = prefix::ShareSemanticOverride::force(true);
         let params = CertParams::default();
         let ticket = stack_units("ticket", &params).expect("resolves");
         let share = |name: &str| {
@@ -737,18 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn disabling_semantic_sharing_restores_per_unit_keys() {
-        let _serial = serial();
-        let _off = prefix::ShareSemanticOverride::force(false);
-        let params = CertParams::default();
-        for u in stack_units("ticket", &params).expect("resolves") {
-            assert_eq!(u.share, u.fingerprint.to_string(), "{}", u.name);
-        }
-    }
-
-    #[test]
     fn windowed_runs_sum_to_the_whole_grid() {
-        let _serial = serial();
         let params = CertParams::default();
         let def = &stack_units("ticket", &params).expect("resolves")[0];
         let whole = run_unit("ticket", "funlift/acq", &params, None, None).expect("runs");
@@ -771,7 +722,6 @@ mod tests {
 
     #[test]
     fn the_scratch_stack_fails_with_rendered_evidence() {
-        let _serial = serial();
         let params = CertParams::default();
         let out = run_unit("scratch", "op", &params, None, None).expect("runs");
         let failure = out.failure.expect("scratch is the known-failing fixture");

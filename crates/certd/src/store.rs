@@ -8,17 +8,17 @@
 //! are stored too: re-requesting a known-bad unit replays its rendered
 //! counterexample with zero exploration steps.
 //!
-//! The `CCAL_CERTD_CACHE=0` escape hatch disables *hits* (every lookup
-//! misses) without disabling writes, so a suspect cache can be bypassed
-//! and repopulated in one run.
+//! A request's `use_cache = false` (`certify --no-cache`) bypasses hits
+//! without disabling writes, so a suspect cache can be bypassed and
+//! repopulated in one run; the store itself always answers.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use ccal_core::envflag;
 use ccal_core::fingerprint::ContentHash;
 use ccal_forensics::json::{self, Json};
 
@@ -148,6 +148,7 @@ pub struct CertStore {
     dir: Option<PathBuf>,
     mem: Mutex<HashMap<ContentHash, StoredUnit>>,
     manifests: Mutex<HashMap<ContentHash, StoredManifest>>,
+    write_errors: AtomicU64,
 }
 
 impl CertStore {
@@ -157,6 +158,7 @@ impl CertStore {
             dir: None,
             mem: Mutex::new(HashMap::new()),
             manifests: Mutex::new(HashMap::new()),
+            write_errors: AtomicU64::new(0),
         }
     }
 
@@ -198,56 +200,27 @@ impl CertStore {
             dir: Some(dir),
             mem: Mutex::new(mem),
             manifests: Mutex::new(manifests),
+            write_errors: AtomicU64::new(0),
         })
     }
 
-    /// Whether lookups may hit (the `CCAL_CERTD_CACHE` hatch; writes are
-    /// unaffected). Unlike the engine's `CCAL_*` flags this one is read
-    /// on every lookup, not cached at first use: it is an operational
-    /// hatch for a long-running daemon, so flipping the variable must
-    /// not require a restart.
-    pub fn hits_enabled() -> bool {
-        match std::env::var("CCAL_CERTD_CACHE") {
-            Ok(raw) => envflag::parse_bool(&raw).unwrap_or_else(|| {
-                envflag::warn_ignored("CCAL_CERTD_CACHE", &raw, "0 disables cache hits");
-                true
-            }),
-            Err(_) => true,
-        }
-    }
-
-    /// The stored verdict for `fp`, unless hits are disabled.
+    /// The stored verdict for `fp`.
     pub fn get(&self, fp: ContentHash) -> Option<StoredUnit> {
-        if !Self::hits_enabled() {
-            return None;
-        }
         self.mem.lock().unwrap_or_else(|e| e.into_inner()).get(&fp).cloned()
     }
 
-    /// Records a verdict (in memory, and on disk when persistent). Disk
-    /// writes go through a temp file + rename so a concurrent reader
-    /// never sees a torn record.
+    /// Records a verdict in memory, and on disk when persistent. A failed
+    /// disk write is counted in [`CertStore::write_errors`].
     pub fn put(&self, fp: ContentHash, unit: StoredUnit) {
-        if let Some(dir) = &self.dir {
-            let body = unit.to_json(fp).pretty();
-            let tmp = dir.join(format!(".{fp}.tmp"));
-            let final_path = dir.join(format!("{fp}.json"));
-            if fs::write(&tmp, body).is_ok() {
-                let _ = fs::rename(&tmp, &final_path);
-            }
-        }
+        self.persist(&fp.to_string(), unit.to_json(fp).pretty());
         self.mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(fp, unit);
     }
 
-    /// The stored stack manifest for `fp`, unless hits are disabled
-    /// (the same `CCAL_CERTD_CACHE` hatch that gates unit hits).
+    /// The stored stack manifest for `fp`.
     pub fn get_manifest(&self, fp: ContentHash) -> Option<StoredManifest> {
-        if !Self::hits_enabled() {
-            return None;
-        }
         self.manifests
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -255,21 +228,38 @@ impl CertStore {
             .cloned()
     }
 
-    /// Records a stack manifest (in memory, and on disk when
-    /// persistent), same torn-write discipline as [`CertStore::put`].
+    /// Records a stack manifest, like [`CertStore::put`].
     pub fn put_manifest(&self, fp: ContentHash, manifest: StoredManifest) {
-        if let Some(dir) = &self.dir {
-            let body = manifest.to_json(fp).pretty();
-            let tmp = dir.join(format!(".manifest-{fp}.tmp"));
-            let final_path = dir.join(format!("manifest-{fp}.json"));
-            if fs::write(&tmp, body).is_ok() {
-                let _ = fs::rename(&tmp, &final_path);
-            }
-        }
+        self.persist(&format!("manifest-{fp}"), manifest.to_json(fp).pretty());
         self.manifests
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(fp, manifest);
+    }
+
+    /// Mirrors one record to `<stem>.json` in the store directory, if
+    /// any. The write goes through a `.<stem>.tmp` file and a rename, so
+    /// a concurrent reader never sees a torn record. A failed write or
+    /// rename is counted in [`CertStore::write_errors`] and reported on
+    /// stderr, and the temp file is removed; the caller still records
+    /// the value in memory, so this process keeps answering for it.
+    fn persist(&self, stem: &str, body: String) {
+        let Some(dir) = &self.dir else {
+            return;
+        };
+        let tmp = dir.join(format!(".{stem}.tmp"));
+        let final_path = dir.join(format!("{stem}.json"));
+        if let Err(e) = fs::write(&tmp, body).and_then(|()| fs::rename(&tmp, &final_path)) {
+            let _ = fs::remove_file(&tmp);
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+            eprintln!("ccal-certd: could not persist {}: {e}", final_path.display());
+        }
+    }
+
+    /// Records that could not be written to the store directory since
+    /// the store was opened (always 0 for an in-memory store).
+    pub fn write_errors(&self) -> u64 {
+        self.write_errors.load(Ordering::Relaxed)
     }
 
     /// Number of stored records.
@@ -287,15 +277,6 @@ impl CertStore {
 mod tests {
     use super::*;
 
-    /// Serializes tests against the per-lookup `CCAL_CERTD_CACHE` read:
-    /// every test that mutates the variable or performs lookups takes
-    /// this, so the kill-switch test cannot disable a neighbour's hits.
-    static ENV: Mutex<()> = Mutex::new(());
-
-    fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-        ENV.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn fp(n: u128) -> ContentHash {
         ContentHash(n)
     }
@@ -312,7 +293,6 @@ mod tests {
 
     #[test]
     fn memory_store_round_trips() {
-        let _env = env_guard();
         let store = CertStore::in_memory();
         assert!(store.is_empty());
         store.put(fp(42), sample("op"));
@@ -322,7 +302,6 @@ mod tests {
 
     #[test]
     fn persistent_store_survives_reopen() {
-        let _env = env_guard();
         let dir = std::env::temp_dir().join(format!("ccal-certd-store-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
@@ -352,7 +331,6 @@ mod tests {
 
     #[test]
     fn manifests_round_trip_and_survive_reopen() {
-        let _env = env_guard();
         let store = CertStore::in_memory();
         assert_eq!(store.get_manifest(fp(99)), None);
         store.put_manifest(fp(99), manifest());
@@ -376,14 +354,23 @@ mod tests {
     }
 
     #[test]
-    fn manifest_hits_respect_the_kill_switch() {
-        let _env = env_guard();
-        let store = CertStore::in_memory();
-        store.put_manifest(fp(5), manifest());
-        std::env::set_var("CCAL_CERTD_CACHE", "0");
-        let hit = store.get_manifest(fp(5));
-        std::env::remove_var("CCAL_CERTD_CACHE");
-        assert_eq!(hit, None, "hits disabled by the kill switch");
-        assert_eq!(store.get_manifest(fp(5)), Some(manifest()));
+    fn failed_writes_are_counted_and_leave_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("ccal-certd-wstore-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CertStore::at_dir(dir.clone()).expect("creates");
+        // A directory where the record belongs makes the rename fail.
+        fs::create_dir(dir.join(format!("{}.json", fp(3)))).expect("blocks the record path");
+        store.put(fp(3), sample("op"));
+        assert_eq!(store.write_errors(), 1);
+        assert_eq!(store.get(fp(3)), Some(sample("op")), "the in-memory record still lands");
+        let temps: Vec<_> = fs::read_dir(&dir)
+            .expect("lists")
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .collect();
+        assert!(temps.is_empty(), "orphaned temp files: {temps:?}");
+        store.put(fp(4), sample("op"));
+        assert_eq!(store.write_errors(), 1, "a writable path is not an error");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

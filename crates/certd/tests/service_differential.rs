@@ -468,8 +468,8 @@ fn clean_recertify_skips_registry_decomposition() {
     assert!(third.certified, "qlock certifies with convergence dedup off");
 }
 
-/// The `CCAL_CERTD_CACHE=0` hatch disables store hits (the daemon
-/// process reads it per lookup), forcing recertification.
+/// A request with `use_cache = false` bypasses store hits, forcing
+/// recertification; later cached requests hit again.
 #[test]
 fn cache_kill_switch_forces_recertification() {
     let _guard = serial();
@@ -482,18 +482,19 @@ fn cache_kill_switch_forces_recertification() {
     req.warm = false;
     let first = ccal_certd::certify(&addr, &req).expect("daemon answers");
     assert!(first.certified);
-    std::env::set_var("CCAL_CERTD_CACHE", "0");
-    let second = ccal_certd::certify(&addr, &req);
-    std::env::remove_var("CCAL_CERTD_CACHE");
-    let second = second.expect("daemon answers");
-    assert_eq!(second.cache_hits, 0, "hits disabled by the kill switch");
+    let uncached = CertRequest {
+        use_cache: false,
+        ..req.clone()
+    };
+    let second = ccal_certd::certify(&addr, &uncached).expect("daemon answers");
+    assert_eq!(second.cache_hits, 0, "hits bypassed by the request");
     assert!(second.total_steps > 0, "the grid was re-explored");
     assert_eq!(second.certified, first.certified);
     let third = ccal_certd::certify(&addr, &req).expect("daemon answers");
     assert_eq!(
         third.cache_hits,
         third.units.len(),
-        "hits come back once the switch is lifted"
+        "cached requests hit again"
     );
 }
 
@@ -504,10 +505,6 @@ fn cache_kill_switch_forces_recertification() {
 #[test]
 fn warm_state_is_reused_across_requests() {
     let _guard = serial();
-    // The cross-unit assertions below are about *semantic* families;
-    // pin the mode so the CCAL_SHARE_SEMANTIC=0 suite rerun still
-    // exercises them (the hatch's pinned behaviour has its own tests).
-    let _on = prefix::ShareSemanticOverride::force(true);
     let p = CertParams::default();
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("qlock");
@@ -558,9 +555,6 @@ fn warm_state_is_reused_across_requests() {
 #[test]
 fn ticket_units_share_family_state_within_and_across_requests() {
     let _guard = serial();
-    // Family grouping is the semantic-sharing feature itself — pin the
-    // mode so the CCAL_SHARE_SEMANTIC=0 suite rerun keeps covering it.
-    let _on = prefix::ShareSemanticOverride::force(true);
     let (_daemon, addr) = fresh_daemon();
     let mut req = CertRequest::new("ticket");
     req.params = CertParams::default();

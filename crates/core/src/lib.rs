@@ -75,7 +75,6 @@ pub mod calculus;
 pub mod conc;
 pub mod contexts;
 pub mod env;
-pub mod envflag;
 pub mod event;
 pub mod explore;
 pub mod fingerprint;

@@ -47,17 +47,27 @@ pub fn default_workers() -> usize {
     };
     match std::env::var("CCAL_WORKERS") {
         Ok(v) => parse_workers(&v).unwrap_or_else(|| {
-            crate::envflag::warn_ignored("CCAL_WORKERS", &v, "0 means serial");
+            warn_ignored(&v);
             fallback()
         }),
         Err(_) => fallback(),
     }
 }
 
+/// Warns on stderr, at most once per process, that an unparseable
+/// `CCAL_WORKERS` value is ignored.
+fn warn_ignored(raw: &str) {
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    WARNED.call_once(|| {
+        eprintln!(
+            "ccal: ignoring unparseable CCAL_WORKERS={raw:?} (expected a \
+             non-negative integer; 0 means serial)"
+        );
+    });
+}
+
 /// Parses a `CCAL_WORKERS` value: `Some(1)` for `0` (serial), `Some(n)`
-/// for a positive integer, `None` for anything unparseable. The boolean
-/// flags share this grammar via [`crate::envflag::bool_flag`]; workers is
-/// the one numeric flag, so only the warn-once path is shared.
+/// for a positive integer, `None` for anything unparseable.
 fn parse_workers(raw: &str) -> Option<usize> {
     match raw.trim().parse::<usize>() {
         Ok(0) => Some(1),

@@ -53,79 +53,10 @@
 //! [`ScriptScheduler`]: crate::strategy::ScriptScheduler
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::id::Pid;
-
-/// Whether **semantic sharing keys** are enabled by this process's
-/// environment: warm exploration state keyed by the content identity of
-/// the lower-machine family ([`crate::fingerprint::ShareKey`]) instead of
-/// being pinned to each certification unit's whole-input fingerprint, so
-/// units of one stack and successive requests over the same underlay
-/// share one `PrefixMemo`/`SnapshotTrie`/convergence store. Read once
-/// from `CCAL_SHARE_SEMANTIC` with the shared grammar
-/// ([`crate::envflag::bool_flag`]): unset or any non-zero integer —
-/// semantic keys on (the default); `0` — per-unit pinned families (the
-/// differential-debugging escape hatch), warned once so stale CI configs
-/// fail loudly. Consumers should consult [`share_semantic_effective`],
-/// which also honors scoped [`ShareSemanticOverride`] guards.
-pub fn share_semantic_enabled() -> bool {
-    let on = crate::envflag::bool_flag("CCAL_SHARE_SEMANTIC", true);
-    if !on {
-        static WARNED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
-        WARNED.get_or_init(|| {
-            eprintln!(
-                "ccal: CCAL_SHARE_SEMANTIC=0 — warm exploration state is pinned \
-                 per-unit (no cross-unit or cross-request semantic sharing)"
-            );
-        });
-    }
-    on
-}
-
-/// Scoped override of semantic sharing keys: -1 = no override (fall back
-/// to [`share_semantic_enabled`]), 0 = force pinned families, 1 = force
-/// semantic keys. The B8 benchmark measures both sides of its ratio in
-/// one process, and the sharing differential pins bit-identity across the
-/// two modes.
-fn share_semantic_override() -> &'static AtomicI8 {
-    static OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-    &OVERRIDE
-}
-
-/// The semantic-sharing choice in effect right now: the innermost
-/// [`ShareSemanticOverride`] if one is live, else the
-/// `CCAL_SHARE_SEMANTIC` environment default.
-pub fn share_semantic_effective() -> bool {
-    match share_semantic_override().load(Ordering::Relaxed) {
-        -1 => share_semantic_enabled(),
-        0 => false,
-        _ => true,
-    }
-}
-
-/// RAII guard forcing semantic sharing keys on or off process-wide until
-/// dropped. Overrides do not nest meaningfully — the guard restores the
-/// value it displaced, and concurrent runs wanting different choices
-/// would race.
-pub struct ShareSemanticOverride {
-    prev: i8,
-}
-
-impl ShareSemanticOverride {
-    /// Forces semantic sharing keys to `on` until the guard drops.
-    pub fn force(on: bool) -> Self {
-        let prev = share_semantic_override().swap(i8::from(on), Ordering::Relaxed);
-        Self { prev }
-    }
-}
-
-impl Drop for ShareSemanticOverride {
-    fn drop(&mut self) {
-        share_semantic_override().store(self.prev, Ordering::Relaxed);
-    }
-}
 
 /// Hands out a fresh family id for a [`crate::contexts::ContextGen`]
 /// instance. Keys from different generators never collide in a

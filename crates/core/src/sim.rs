@@ -57,9 +57,8 @@
 //! the first failure, or the evidence, because every shared outcome is
 //! exactly what re-execution would have produced.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::env::EnvContext;
 use crate::event::Event;
@@ -92,16 +91,6 @@ enum RelStage {
 pub struct SimRelation {
     name: String,
     stages: Arc<Vec<RelStage>>,
-}
-
-/// Composed relations, memoized by `(lower name, upper name)`. Relation
-/// names identify their relations globally (the same convention
-/// `crate::rely::Conditions` uses for structural implication), so `Vcomp`
-/// towers that re-compose the same pair — once per certified primitive —
-/// reuse one chain.
-fn composed_relations() -> &'static Mutex<HashMap<(String, String), SimRelation>> {
-    static CACHE: OnceLock<Mutex<HashMap<(String, String), SimRelation>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 impl SimRelation {
@@ -180,31 +169,12 @@ impl SimRelation {
     /// Relation composition `self ∘ next` in diagram order: `self` relates
     /// `L₁→L₂` and `next` relates `L₂→L₃`; the result relates `L₁→L₃`.
     /// Used by the `Vcomp` and `Wk` rules (Fig. 9). Concatenates the stage
-    /// chains and memoizes the result by name pair.
+    /// chains; each stage is an `Arc`'d function, so only pointers are copied.
     pub fn then(&self, next: &SimRelation) -> SimRelation {
-        let key = (self.name.clone(), next.name.clone());
-        if let Some(hit) = composed_relations()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            return hit.clone();
-        }
-        let stages: Vec<RelStage> = self
-            .stages
-            .iter()
-            .chain(next.stages.iter())
-            .cloned()
-            .collect();
-        let composed = SimRelation {
+        SimRelation {
             name: format!("{} ∘ {}", self.name, next.name),
-            stages: Arc::new(stages),
-        };
-        composed_relations()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, composed.clone());
-        composed
+            stages: Arc::new(self.stages.iter().chain(next.stages.iter()).cloned().collect()),
+        }
     }
 }
 
@@ -496,8 +466,7 @@ impl crate::prefix::ForkSnapshot for SimSnap {
 /// may legitimately share one handle: the content-derived inner indices
 /// (setup history + called primitive + arguments) keep their computations
 /// apart, and the upper-run cache keys carry a per-check signature for
-/// the same reason. With `CCAL_SHARE_SEMANTIC=0` the service falls back
-/// to pinning one handle per unit fingerprint.
+/// the same reason.
 #[derive(Clone, Default)]
 pub struct SimWarm {
     memo: Arc<crate::prefix::PrefixMemo<LowerRun>>,
@@ -1366,6 +1335,19 @@ mod tests {
         let lower = Log::from_events([Event::prim(Pid(0), "a", vec![])]);
         let upper = Log::from_events([Event::prim(Pid(0), "c", vec![])]);
         assert!(r.holds(&lower, &upper));
+    }
+
+    #[test]
+    fn composition_is_not_keyed_by_relation_names() {
+        // Two different relations may share a name; composing each must
+        // keep its own abstraction.
+        let erase = SimRelation::per_event("same-name", |_| vec![]);
+        let keep = SimRelation::per_event("same-name", |e| vec![e.clone()]);
+        let lower = Log::from_events([Event::prim(Pid(0), "a", vec![])]);
+        let erased = erase.then(&SimRelation::identity()).abstracted(&lower);
+        let kept = keep.then(&SimRelation::identity()).abstracted(&lower);
+        assert_eq!(erased.map(|l| l.len()), Some(0));
+        assert_eq!(kept.map(|l| l.len()), Some(1));
     }
 
     #[test]

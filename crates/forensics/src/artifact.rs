@@ -61,13 +61,6 @@ pub struct ReplayOptions {
     /// replay must *execute* the witness, never answer it from a cache;
     /// decoded tolerantly like `prefix_share`).
     pub state_dedup: bool,
-    /// Semantic sharing keys at capture time: `true` if warm-state
-    /// families were keyed by content (`ShareKey`), `false` under the
-    /// `CCAL_SHARE_SEMANTIC=0` pin. Informational — replay runs
-    /// memo-free, so the key space is irrelevant to validation — and
-    /// decoded tolerantly (artifacts written before the flag existed
-    /// read as `false`).
-    pub share_semantic: bool,
 }
 
 /// One serialized failure witness.
@@ -107,7 +100,9 @@ impl TraceArtifact {
                     ("deep_share", Json::Bool(self.options.deep_share)),
                     ("bytecode", Json::Bool(self.options.bytecode)),
                     ("state_dedup", Json::Bool(self.options.state_dedup)),
-                    ("share_semantic", Json::Bool(self.options.share_semantic)),
+                    // Warm-state families are always keyed by content
+                    // (`ShareKey`); the field stays for format stability.
+                    ("share_semantic", Json::Bool(true)),
                 ]),
             ),
             ("context", self.context.encode()),
@@ -195,12 +190,6 @@ impl TraceArtifact {
             // so artifacts written before the flag existed read as `false`.
             state_dedup: oj
                 .get("state_dedup")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            // Tolerant: informational provenance only — replay runs
-            // memo-free, on either key space.
-            share_semantic: oj
-                .get("share_semantic")
                 .and_then(Json::as_bool)
                 .unwrap_or(false),
         };
@@ -315,7 +304,6 @@ mod tests {
                 deep_share: false,
                 bytecode: false,
                 state_dedup: false,
-                share_semantic: false,
             },
             context: ScriptedContext {
                 domain: vec![Pid(0), Pid(1)],

@@ -334,7 +334,6 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
             // artifact is self-describing about its provenance.
             bytecode: replay.explore.bytecode,
             state_dedup: false,
-            share_semantic: ccal_core::prefix::share_semantic_effective(),
         },
         context: outcome.context,
         expected: ExpectedFailure {

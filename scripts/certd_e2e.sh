@@ -13,7 +13,7 @@
 #   stage 2 — a delayed shard is SIGKILLed mid-lease; the re-leased run
 #             produces the bit-identical verdict and index-least
 #             counterexample that the healthy baseline produced.
-#   stage 3 — the CCAL_CERTD_CACHE=0 hatch forces recertification, and
+#   stage 3 — `certify --no-cache` forces recertification, and
 #             the store survives daemon restarts (a fresh daemon on the
 #             same directory answers with zero steps).
 #
@@ -35,14 +35,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# start_daemon NAME [ENV=VAL ...] — starts a daemon on an ephemeral port
+# start_daemon NAME — starts a daemon on an ephemeral port
 # with the shared store directory, waits for its port file, and leaves
 # the address in $ADDR and the pid in $DAEMON_PID.
 start_daemon() {
   local name=$1
-  shift
   rm -f "$TMP/$name.port"
-  env "$@" "$BIN" serve --store "$TMP/store" --port-file "$TMP/$name.port" \
+  "$BIN" serve --store "$TMP/store" --port-file "$TMP/$name.port" \
     >"$TMP/$name.log" 2>&1 &
   DAEMON_PID=$!
   PIDS+=("$DAEMON_PID")
@@ -151,9 +150,9 @@ for key in certified failed_unit failure; do
 done
 stop_daemon
 
-echo "-- certd stage 3: CCAL_CERTD_CACHE=0 recertifies; the store survives restarts --"
-start_daemon c CCAL_CERTD_CACHE=0
-"$BIN" certify ticket --connect "$ADDR" --json >"$TMP/ticket3.json"
+echo "-- certd stage 3: --no-cache recertifies; the store survives restarts --"
+start_daemon c
+"$BIN" certify ticket --connect "$ADDR" --no-cache --json >"$TMP/ticket3.json"
 grep -q '"certified": true' "$TMP/ticket3.json"
 grep -q '"cache_hits": 0' "$TMP/ticket3.json"
 [ "$(total_steps "$TMP/ticket3.json")" -gt 0 ]

@@ -3,22 +3,24 @@
 # parallel-vs-serial, POR, prefix-sharing, fork-resume, exploration-kernel,
 # bytecode-tier, convergence-dedup, and semantic-sharing differential
 # suites (each compares an optimization on against the same checks with
-# it off, chosen through explicit `ExploreOptions` fields; the semantic-
-# sharing suite also reruns under its CCAL_SHARE_SEMANTIC=0 escape hatch),
-# the engine regression tests, the full workspace tests (also with
-# sharing keys pinned; `--no-fail-fast`, so one failing crate does not
-# hide the others), and criterion-free benchmark smoke runs including
-# the B5 (whole-prefix), B5d (query-point snapshot), B6 (compiled ClightX
+# it off, chosen through explicit `ExploreOptions` fields or, for
+# semantic sharing, a warm map against cold runs), the engine regression
+# tests, the full workspace tests (`--no-fail-fast`, so one failing
+# crate does not hide the others), the forensics selftest and corpus
+# replay, criterion-free benchmark smoke runs including the B5
+# (whole-prefix), B5d (query-point snapshot), B6 (compiled ClightX
 # bytecode VM), B7 (convergence dedup), and B8 (semantic sharing keys)
-# step-ratio gates. Everything here works without network access —
+# step-ratio gates, and the certd service end-to-end script. No stage
+# sets a `CCAL_*` variable: the library reads none but the
+# `CCAL_WORKERS` default. Everything here works without network access —
 # proptest/criterion resolve to the in-repo shim crates. Each stage
 # reports its own wall time so perf regressions in the harness itself
 # are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# stage DESCRIPTION COMMAND... — runs COMMAND (use `env VAR=... cmd` for
-# per-stage environment overrides) and prints the stage's wall time.
+# stage DESCRIPTION COMMAND... — runs COMMAND and prints the stage's wall
+# time.
 stage() {
   local desc="$1"
   shift
@@ -61,20 +63,14 @@ stage "differential: bytecode VM vs interpreter (forensics captures + artifacts)
 stage "differential: convergence dedup on vs off (all five checkers, evidence byte-identity)" \
   cargo test -q -p ccal-forensics --test convergence_differential
 
-stage "differential: semantic sharing keys vs pinned families (all five checkers, both tiers, hostile aliasing)" \
+stage "differential: semantic sharing keys, warm vs cold and shared vs isolated families (all five checkers, both tiers, hostile aliasing)" \
   cargo test -q --test sharing_differential
-
-stage "differential: sharing differential under the escape hatch (CCAL_SHARE_SEMANTIC=0)" \
-  env CCAL_SHARE_SEMANTIC=0 cargo test -q --test sharing_differential
 
 stage "regression: grid sampling, space_size, workers, cache cap" \
   cargo test -q -p ccal-core -- contexts:: par:: por:: sim::
 
 stage "workspace tests" \
   cargo test --workspace -q --no-fail-fast
-
-stage "workspace tests with pinned sharing keys (escape hatch: CCAL_SHARE_SEMANTIC=0)" \
-  env CCAL_SHARE_SEMANTIC=0 cargo test --workspace -q --no-fail-fast
 
 stage "forensics: shrink/replay selftest (all five checkers)" \
   cargo run -q --release -p ccal-forensics --bin ccal-replay -- --selftest
@@ -94,7 +90,7 @@ stage "bench gate (no criterion): bytecode_vm --quick (asserts B6 vm/interp prim
 stage "bench gate (no criterion): convergence --quick (asserts B7 dedup/base atom-steps <= 0.6 at L=5 + per-checker hits; writes BENCH_7.json)" \
   cargo bench -p ccal-bench --no-default-features --bench convergence -- --quick
 
-stage "bench gate (no criterion): sharing --quick (asserts B8 semantic/pinned atom-steps <= 0.5 at L=5 + per-unit family hits; writes BENCH_8.json)" \
+stage "bench gate (no criterion): sharing --quick (asserts B8 semantic/cold atom-steps <= 0.5 at L=5 + per-unit family hits; writes BENCH_8.json)" \
   cargo bench -p ccal-bench --no-default-features --bench sharing -- --quick
 
 stage "certd service e2e: sharded grid, zero-step cache hits, SIGKILL recovery, store persistence" \

@@ -9,10 +9,10 @@
 //! Three layers of coverage:
 //!
 //! 1. **Registry differential**: every known stack is certified twice —
-//!    pinned per-unit keys cold (`CCAL_SHARE_SEMANTIC=0`, the old
-//!    behavior) vs. semantic keys with one warm map shared across units
-//!    exactly as `ccal-certd` runs it — across workers × POR ×
-//!    prefix/deep sharing × both ClightX execution tiers.
+//!    cold (no warm state, fresh caches per unit) vs. one warm map keyed
+//!    by semantic sharing keys and shared across units exactly as
+//!    `ccal-certd` runs it — across workers × POR × prefix/deep sharing
+//!    × both ClightX execution tiers.
 //! 2. **Checker differential**: all five bounded checkers run on a
 //!    "twin" grid — two content-equal context generators concatenated —
 //!    once with the twins pinned to distinct families (isolated) and
@@ -23,8 +23,8 @@
 //!    populated by one must never serve the other — its verdict,
 //!    evidence *and work counters* must equal a cold run's.
 //!
-//! The semantic-sharing override and the engine's sharing counters are
-//! process-global, so every test in this binary serializes on one mutex.
+//! The engine's sharing counters are process-global, so every test in
+//! this binary serializes on one mutex.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -37,7 +37,7 @@ use ccal::core::explore::ExploreOptions;
 use ccal::core::fingerprint::{share_key, ShareKey};
 use ccal::core::id::{Loc, Pid, PidSet, QId};
 use ccal::core::layer::{LayerInterface, PrimSpec};
-use ccal::core::prefix::{self, ShareSemanticOverride};
+use ccal::core::prefix;
 use ccal::core::sim::{
     check_prim_refinement, SimEvidence, SimFailure, SimOptions, SimRelation, SimWarm,
 };
@@ -51,30 +51,28 @@ use ccal::verifier::{
 use ccal_certd::registry::{self, UnitOutcome, WarmMap};
 use ccal_certd::CertParams;
 
-/// Serializes the tests in this binary: the semantic-sharing override and
-/// the prefix counters are process-global.
+/// Serializes the tests in this binary: the prefix counters are
+/// process-global.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------------
-// 1. Registry differential: semantic + warm vs. pinned + cold.
+// 1. Registry differential: cold vs. warm.
 // ---------------------------------------------------------------------------
 
-/// Certifies every unit of `stack` in pipeline order. With `semantic`
-/// off, this is the pre-sharing engine: per-unit pinned keys, no warm
-/// state. With `semantic` on, units draw warm state from one [`WarmMap`]
-/// keyed by their semantic sharing key — the daemon's exact flow — so
-/// content-equal units feed each other.
-fn certify_stack(stack: &str, params: &CertParams, semantic: bool) -> Vec<UnitOutcome> {
-    let _mode = ShareSemanticOverride::force(semantic);
-    let warm = WarmMap::new();
+/// Certifies every unit of `stack` in pipeline order. Cold, each unit
+/// explores with fresh caches. Warm, units draw warm state from one
+/// [`WarmMap`] keyed by their semantic sharing key — the daemon's exact
+/// flow — so content-equal units feed each other.
+fn certify_stack(stack: &str, params: &CertParams, warm: bool) -> Vec<UnitOutcome> {
+    let map = WarmMap::new();
     registry::stack_units(stack, params)
         .expect("stack resolves")
         .iter()
         .map(|u| {
-            let w = semantic.then(|| warm.get(&u.share));
+            let w = warm.then(|| map.get(&u.share));
             registry::run_unit(stack, &u.name, params, None, w.as_ref())
                 .expect("unit runs")
         })
@@ -82,7 +80,7 @@ fn certify_stack(stack: &str, params: &CertParams, semantic: bool) -> Vec<UnitOu
 }
 
 #[test]
-fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
+fn registry_verdicts_are_identical_between_cold_and_warm_runs() {
     let _guard = serial();
     for stack in ["ticket", "qlock", "scratch"] {
         let mut grid: Vec<CertParams> = Vec::new();
@@ -105,10 +103,10 @@ fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
             grid.push(p);
         }
         for params in &grid {
-            let pinned = certify_stack(stack, params, false);
-            let shared = certify_stack(stack, params, true);
+            let cold = certify_stack(stack, params, false);
+            let warm = certify_stack(stack, params, true);
             assert_eq!(
-                pinned, shared,
+                cold, warm,
                 "stack `{stack}` drifted under semantic sharing \
                  (workers={} por={} prefix={} deep={} bytecode={})",
                 params.workers, params.por, params.prefix_share, params.deep_share,
@@ -117,7 +115,7 @@ fn registry_verdicts_are_identical_between_semantic_and_pinned_keys() {
             // The differential only has teeth if both polarities appear:
             // scratch must fail (with rendered index-least evidence held
             // byte-identical above), the lock stacks must certify.
-            let failures = pinned.iter().filter(|o| o.failure.is_some()).count();
+            let failures = cold.iter().filter(|o| o.failure.is_some()).count();
             if stack == "scratch" {
                 assert!(failures > 0, "scratch is the known-failing fixture");
             } else {
