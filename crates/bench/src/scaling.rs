@@ -489,8 +489,8 @@ pub fn render_por_widened(lens: &[usize]) -> String {
 }
 
 /// One row of the prefix-sharing study (experiment B5): the same
-/// certification run with the lower-run prefix trie on and off, with the
-/// work measured in *atom-steps* (machine steps plus emitted events — the
+/// certification run with lower-run sharing on and off, with the work
+/// measured in *atom-steps* (machine steps plus emitted events — the
 /// counter the engine increments for every executed lower run) rather
 /// than wall-clock alone, so the comparison is robust on noisy or
 /// single-core hosts.
@@ -502,44 +502,33 @@ pub struct PrefixRow {
     pub grid: usize,
     /// Checking cases discharged (identical with sharing on and off).
     pub cases: usize,
-    /// Atom-steps executed with prefix sharing off (serial engine).
+    /// Atom-steps executed with sharing off (serial engine).
     pub steps_full: u64,
-    /// Atom-steps executed with prefix sharing on, deep sharing off
-    /// (serial engine).
-    pub steps_shared: u64,
-    /// Atom-steps executed with prefix *and* deep (query-point snapshot)
-    /// sharing on (serial engine) — experiment B5d.
-    pub steps_deep: u64,
-    /// Memoized lower-run reuses with sharing on (serial engine).
+    /// Atom-steps executed with sharing on (serial engine).
+    pub steps_share: u64,
+    /// Lower runs answered by a stored outcome, sealed setup or completed
+    /// call with sharing on (serial engine).
     pub shared_hits: u64,
-    /// Mid-run query-point resumes with deep sharing on (serial engine).
+    /// Mid-run query-point resumes with sharing on (serial engine).
     pub deep_hits: u64,
     /// Serial wall time, sharing off.
     pub serial_full: Duration,
-    /// Serial wall time, sharing on (deep off).
-    pub serial_shared: Duration,
-    /// Serial wall time, sharing and deep sharing on.
-    pub serial_deep: Duration,
+    /// Serial wall time, sharing on.
+    pub serial_share: Duration,
     /// Parallel wall time, sharing off.
     pub parallel_full: Duration,
     /// Parallel wall time, sharing on.
-    pub parallel_shared: Duration,
+    pub parallel_share: Duration,
     /// Worker threads used for the parallel runs.
     pub workers: usize,
 }
 
 impl PrefixRow {
-    /// Shared-over-full atom-step ratio — the fraction of lower-machine
-    /// work the trie could *not* share (lower is better; 1.0 means no
+    /// Share-over-full atom-step ratio — the fraction of lower-machine
+    /// work the store could *not* share (lower is better; 1.0 means no
     /// sharing).
     pub fn step_ratio(&self) -> f64 {
-        self.steps_shared as f64 / self.steps_full.max(1) as f64
-    }
-
-    /// Deep-over-full atom-step ratio (B5d): lower-machine work left after
-    /// query-point snapshot forking on top of the boundary trie.
-    pub fn deep_ratio(&self) -> f64 {
-        self.steps_deep as f64 / self.steps_full.max(1) as f64
+        self.steps_share as f64 / self.steps_full.max(1) as f64
     }
 }
 
@@ -548,8 +537,8 @@ impl PrefixRow {
 /// section suppresses query points (§2), so a run consumes only the
 /// schedule slots up to its lock acquisition — against a `foo`-shaped
 /// contender and one scratch thread over a 3-pid scheduler domain),
-/// returning the discharged cases, the atom-steps and memo hits recorded
-/// by the engine's process-global counters, and the wall time.
+/// returning the discharged cases, the atom-steps, shared and deep reuses
+/// recorded by the engine's process-global counters, and the wall time.
 ///
 /// The counters are process-global, so callers that want meaningful step
 /// counts must not run other checks concurrently (the bench binary and
@@ -560,7 +549,6 @@ fn certify_prefix(
     schedule_len: usize,
     workers: usize,
     share: bool,
-    deep: bool,
 ) -> (usize, u64, u64, u64, Duration) {
     use ccal_core::strategy::ScratchPlayer;
     let b = Loc(0);
@@ -576,8 +564,7 @@ fn certify_prefix(
     let mut opts = CheckOptions::new(contexts)
         .with_workload("foo", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workers(workers);
-    opts.sim.explore.prefix_share = share;
-    opts.sim.explore.deep_share = deep;
+    opts.sim.explore.share = share;
     opts.sim.explore.state_dedup = false;
     let layer = check_fun(
         &lock_interface(),
@@ -610,41 +597,36 @@ pub fn prefix_row(schedule_len: usize) -> PrefixRow {
 }
 
 /// [`prefix_row`] with an explicit worker count for the parallel runs.
-/// Step counts and memo hits are taken from the serial runs, where they
-/// are deterministic (parallel workers may race to a prefix before the
-/// first result lands in the trie).
+/// Step counts and reuses are taken from the serial runs, where they are
+/// deterministic (parallel workers may race to a prefix before the first
+/// result lands in the store).
 ///
 /// # Panics
 ///
 /// As [`prefix_row`].
 pub fn prefix_row_tuned(schedule_len: usize, workers: usize) -> PrefixRow {
     let grid = 3_usize.pow(schedule_len as u32);
-    let (cases, steps_shared, shared_hits, _, serial_shared) =
-        certify_prefix(schedule_len, 1, true, false);
-    let (deep_cases, steps_deep, _, deep_hits, serial_deep) =
-        certify_prefix(schedule_len, 1, true, true);
+    let (cases, steps_share, shared_hits, deep_hits, serial_share) =
+        certify_prefix(schedule_len, 1, true);
     let (full_cases, steps_full, full_hits, full_deep, serial_full) =
-        certify_prefix(schedule_len, 1, false, false);
+        certify_prefix(schedule_len, 1, false);
     assert_eq!(cases, full_cases, "sharing changed the discharged cases");
-    assert_eq!(cases, deep_cases, "deep sharing changed the discharged cases");
-    assert_eq!(full_hits, 0, "sharing off must not hit the memo");
+    assert_eq!(full_hits, 0, "sharing off must not reuse outcomes");
     assert_eq!(full_deep, 0, "sharing off must not resume snapshots");
-    let (_, _, _, _, parallel_shared) = certify_prefix(schedule_len, workers, true, false);
-    let (_, _, _, _, parallel_full) = certify_prefix(schedule_len, workers, false, false);
+    let (_, _, _, _, parallel_share) = certify_prefix(schedule_len, workers, true);
+    let (_, _, _, _, parallel_full) = certify_prefix(schedule_len, workers, false);
     PrefixRow {
         schedule_len,
         grid,
         cases,
         steps_full,
-        steps_shared,
-        steps_deep,
+        steps_share,
         shared_hits,
         deep_hits,
         serial_full,
-        serial_shared,
-        serial_deep,
+        serial_share,
         parallel_full,
-        parallel_shared,
+        parallel_share,
         workers,
     }
 }
@@ -662,44 +644,42 @@ pub fn render_prefix_rows(rows: &[PrefixRow]) -> String {
     let workers = rows.first().map_or(0, |r| r.workers);
     let _ = writeln!(
         out,
-        "B5/B5d — prefix-sharing lower-run exploration on the client-layer grid \
+        "B5 — lower-run sharing on the client-layer grid \
          (foo contender + scratch thread, 3-pid domain, {workers} workers; \
-         steps = atom-steps, serial engine; `deep` = query-point snapshot trie)"
+         steps = atom-steps, serial engine; ratio = share/full atom-steps)"
     );
     let _ = writeln!(
         out,
-        "{:>4} {:>6} {:>7} {:>12} {:>12} {:>12} {:>7} {:>7} {:>6} {:>6} {:>12} {:>12} {:>12}",
+        "{:>4} {:>6} {:>7} {:>12} {:>12} {:>7} {:>7} {:>6} {:>12} {:>12} {:>12} {:>12}",
         "len",
         "grid",
         "cases",
         "steps/full",
         "steps/share",
-        "steps/deep",
         "hits",
         "d-hits",
         "ratio",
-        "d-rat",
         "ser/full",
         "ser/share",
-        "ser/deep"
+        "par/full",
+        "par/share"
     );
     for row in rows {
         let _ = writeln!(
             out,
-            "{:>4} {:>6} {:>7} {:>12} {:>12} {:>12} {:>7} {:>7} {:>5.2} {:>5.2} {:>12?} {:>12?} {:>12?}",
+            "{:>4} {:>6} {:>7} {:>12} {:>12} {:>7} {:>7} {:>5.2} {:>12?} {:>12?} {:>12?} {:>12?}",
             row.schedule_len,
             row.grid,
             row.cases,
             row.steps_full,
-            row.steps_shared,
-            row.steps_deep,
+            row.steps_share,
             row.shared_hits,
             row.deep_hits,
             row.step_ratio(),
-            row.deep_ratio(),
             row.serial_full,
-            row.serial_shared,
-            row.serial_deep,
+            row.serial_share,
+            row.parallel_full,
+            row.parallel_share,
         );
     }
     push_caveat(&mut out);
@@ -707,7 +687,7 @@ pub fn render_prefix_rows(rows: &[PrefixRow]) -> String {
 }
 
 /// One row of the deep-sharing study (experiment B5d) on the
-/// *interpreted* ticket stack — the workload PR 4's whole-outcome memo
+/// *interpreted* ticket stack — the workload a whole-outcome store alone
 /// cannot reach: `acq` fetches a ticket and then spins on `get_n`,
 /// querying the environment between polls, so a run consumes most of its
 /// script and rarely shares a whole consumed prefix. Query-point
@@ -720,49 +700,37 @@ pub struct DeepRow {
     pub schedule_len: usize,
     /// Contexts in the (3-pid) grid.
     pub grid: usize,
-    /// Checking cases discharged (identical across all three engines).
+    /// Checking cases discharged (identical with sharing on and off).
     pub cases: usize,
-    /// Atom-steps with sharing off entirely.
+    /// Atom-steps with sharing off.
     pub steps_full: u64,
-    /// Atom-steps with whole-outcome + boundary sharing (PR-4 tier).
-    pub steps_shared: u64,
-    /// Atom-steps with query-point snapshot sharing on top.
-    pub steps_deep: u64,
-    /// Whole-outcome/boundary reuses in the deep run.
+    /// Atom-steps with sharing on.
+    pub steps_share: u64,
+    /// Whole-outcome/boundary reuses with sharing on.
     pub shared_hits: u64,
-    /// Mid-run query-point resumes in the deep run.
+    /// Mid-run query-point resumes with sharing on.
     pub deep_hits: u64,
-    /// Serial wall time, boundary sharing only.
-    pub serial_shared: Duration,
-    /// Serial wall time, deep sharing on.
-    pub serial_deep: Duration,
+    /// Serial wall time, sharing off.
+    pub serial_full: Duration,
+    /// Serial wall time, sharing on.
+    pub serial_share: Duration,
 }
 
 impl DeepRow {
-    /// The B5d acceptance metric: deep-share atom-steps over
-    /// boundary-share atom-steps — the work the query-point trie removes
-    /// *beyond* what PR 4's sharing already removed.
-    pub fn deep_over_shared(&self) -> f64 {
-        self.steps_deep as f64 / self.steps_shared.max(1) as f64
-    }
-
-    /// Deep-share atom-steps over the memo-free baseline.
-    pub fn deep_over_full(&self) -> f64 {
-        self.steps_deep as f64 / self.steps_full.max(1) as f64
+    /// The B5d acceptance metric: share-on atom-steps over the share-off
+    /// baseline on the spin-loop workload.
+    pub fn step_ratio(&self) -> f64 {
+        self.steps_share as f64 / self.steps_full.max(1) as f64
     }
 }
 
 /// One serial interpreted-ticket certification (`L0 ⊢ M1 : L1`, `acq` +
 /// `rel` workloads, ticket contender + scratch thread over a 3-pid
-/// domain) with the sharing tiers set explicitly, returning discharged
-/// cases, the process-global step/reuse counters, and wall time.
-/// Convergence dedup is pinned off so the step counters isolate the
-/// prefix/deep-sharing axis (B7 measures the convergence axis).
-fn certify_ticket_prefix(
-    schedule_len: usize,
-    share: bool,
-    deep: bool,
-) -> (usize, u64, u64, u64, Duration) {
+/// domain) with sharing set explicitly, returning discharged cases, the
+/// process-global step/reuse counters, and wall time. Convergence dedup
+/// is pinned off so the step counters isolate the sharing axis (B7
+/// measures the convergence axis).
+fn certify_ticket_prefix(schedule_len: usize, share: bool) -> (usize, u64, u64, u64, Duration) {
     use ccal_core::strategy::ScratchPlayer;
     let b = Loc(0);
     let m1 = m1_module().expect("M1 parses");
@@ -778,8 +746,7 @@ fn certify_ticket_prefix(
         .with_workload("acq", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workload("rel", vec![vec![ccal_core::val::Val::Loc(b)]])
         .with_workers(1);
-    opts.sim.explore.prefix_share = share;
-    opts.sim.explore.deep_share = deep;
+    opts.sim.explore.share = share;
     opts.sim.explore.state_dedup = false;
     let layer = check_fun(
         &l0_interface(),
@@ -805,30 +772,26 @@ fn certify_ticket_prefix(
 ///
 /// # Panics
 ///
-/// Panics if certification fails or any sharing tier changes the
-/// discharged cases.
+/// Panics if certification fails or sharing changes the discharged cases.
 pub fn deep_row(schedule_len: usize) -> DeepRow {
     let grid = 3_usize.pow(schedule_len as u32);
-    let (cases, steps_shared, _, boundary_deep, serial_shared) =
-        certify_ticket_prefix(schedule_len, true, false);
-    assert_eq!(boundary_deep, 0, "deep off must not resume snapshots");
-    let (deep_cases, steps_deep, shared_hits, deep_hits, serial_deep) =
-        certify_ticket_prefix(schedule_len, true, true);
-    let (full_cases, steps_full, full_hits, _, _) = certify_ticket_prefix(schedule_len, false, false);
-    assert_eq!(cases, deep_cases, "deep sharing changed the discharged cases");
+    let (cases, steps_share, shared_hits, deep_hits, serial_share) =
+        certify_ticket_prefix(schedule_len, true);
+    let (full_cases, steps_full, full_hits, full_deep, serial_full) =
+        certify_ticket_prefix(schedule_len, false);
     assert_eq!(cases, full_cases, "sharing changed the discharged cases");
-    assert_eq!(full_hits, 0, "sharing off must not hit the memo");
+    assert_eq!(full_hits, 0, "sharing off must not reuse outcomes");
+    assert_eq!(full_deep, 0, "sharing off must not resume snapshots");
     DeepRow {
         schedule_len,
         grid,
         cases,
         steps_full,
-        steps_shared,
-        steps_deep,
+        steps_share,
         shared_hits,
         deep_hits,
-        serial_shared,
-        serial_deep,
+        serial_full,
+        serial_share,
     }
 }
 
@@ -838,40 +801,38 @@ pub fn render_deep_rows(rows: &[DeepRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "B5d — query-point snapshot trie on the interpreted ticket stack \
+        "B5d — query-point snapshots on the interpreted ticket stack \
          (acq spin loop, ticket contender + scratch thread, 3-pid domain, \
-         serial engine; ratio = deep/share atom-steps)"
+         serial engine; ratio = share/full atom-steps)"
     );
     let _ = writeln!(
         out,
-        "{:>4} {:>6} {:>7} {:>12} {:>12} {:>12} {:>7} {:>7} {:>6} {:>12} {:>12}",
+        "{:>4} {:>6} {:>7} {:>12} {:>12} {:>7} {:>7} {:>6} {:>12} {:>12}",
         "len",
         "grid",
         "cases",
         "steps/full",
         "steps/share",
-        "steps/deep",
         "hits",
         "d-hits",
         "ratio",
-        "ser/share",
-        "ser/deep"
+        "ser/full",
+        "ser/share"
     );
     for row in rows {
         let _ = writeln!(
             out,
-            "{:>4} {:>6} {:>7} {:>12} {:>12} {:>12} {:>7} {:>7} {:>5.2} {:>12?} {:>12?}",
+            "{:>4} {:>6} {:>7} {:>12} {:>12} {:>7} {:>7} {:>5.2} {:>12?} {:>12?}",
             row.schedule_len,
             row.grid,
             row.cases,
             row.steps_full,
-            row.steps_shared,
-            row.steps_deep,
+            row.steps_share,
             row.shared_hits,
             row.deep_hits,
-            row.deep_over_shared(),
-            row.serial_shared,
-            row.serial_deep,
+            row.step_ratio(),
+            row.serial_full,
+            row.serial_share,
         );
     }
     out
@@ -1340,8 +1301,7 @@ pub fn convergence_checker_stats() -> Vec<ConvCheckerStat> {
         let opts = |state_dedup| ExploreOptions {
             workers: 1,
             por: false,
-            prefix_share: false,
-            deep_share: false,
+            share: false,
             state_dedup,
             bytecode: *bytecode,
             ..ExploreOptions::default()
@@ -1437,7 +1397,7 @@ mod tests {
     fn prefix_sharing_reuses_lower_runs_and_preserves_evidence() {
         let _serial = crate::serial();
         // Case counts are asserted inside `prefix_row_tuned`; here only
-        // monotone facts are checked. The hard ≤50 % step-ratio
+        // monotone facts are checked. The hard ≤0.3 step-ratio
         // acceptance lives in the `prefix_sharing` bench binary.
         let row = prefix_row_tuned(4, 2);
         assert_eq!(row.grid, 81);
@@ -1451,8 +1411,8 @@ mod tests {
     #[test]
     fn query_point_snapshots_cut_into_the_ticket_spin() {
         let _serial = crate::serial();
-        // As above: only structural facts here; the hard ≤0.7
-        // deep/share gate lives in the `prefix_sharing` bench binary.
+        // As above: only structural facts here; the hard ≤0.45
+        // share/full gate lives in the `prefix_sharing` bench binary.
         let row = deep_row(3);
         assert_eq!(row.grid, 27);
         assert!(row.cases > 0);

@@ -6,7 +6,7 @@
 //! ccal-certd shard    --connect ADDR
 //! ccal-certd certify  STACK --connect ADDR [--workers N] [--schedule-len N]
 //!                     [--rounds N] [--chunk-cases N] [--no-cache] [--no-warm]
-//!                     [--no-por] [--no-prefix] [--no-deep] [--no-bytecode]
+//!                     [--no-por] [--no-share] [--no-bytecode]
 //!                     [--no-dedup] [--json]
 //! ccal-certd stacks
 //! ccal-certd ping     --connect ADDR
@@ -220,8 +220,7 @@ fn cmd_certify(mut args: Vec<String>) -> Result<ExitCode, String> {
     req.use_cache = !take_flag(&mut args, "--no-cache");
     req.warm = !take_flag(&mut args, "--no-warm");
     req.params.por = !take_flag(&mut args, "--no-por");
-    req.params.prefix_share = !take_flag(&mut args, "--no-prefix");
-    req.params.deep_share = !take_flag(&mut args, "--no-deep");
+    req.params.share = !take_flag(&mut args, "--no-share");
     req.params.bytecode = !take_flag(&mut args, "--no-bytecode");
     req.params.dedup = !take_flag(&mut args, "--no-dedup");
     let mut rest = args.into_iter();

@@ -51,7 +51,7 @@ pub struct Lease {
     pub lo: usize,
     /// Window end (exclusive flat index).
     pub hi: usize,
-    /// Reuse warm memo state keyed by `share`.
+    /// Reuse warm exploration state keyed by `share`.
     pub warm: bool,
 }
 
@@ -68,19 +68,19 @@ pub struct ChunkReport {
     pub failure: Option<String>,
     /// Atom-step delta of this run.
     pub steps: u64,
-    /// Prefix-memo shared-run delta.
+    /// Delta of lower runs answered by stored outcomes.
     pub shared: u64,
     /// Deep snapshot-resume delta.
     pub deep: u64,
     /// Primitive-step delta.
     pub prim_steps: u64,
-    /// Warm prefix-memo size after the run.
+    /// Outcomes in the warm exploration store after the run.
     pub memo_entries: usize,
-    /// Warm snapshot-trie size after the run.
+    /// Cut snapshots in the warm exploration store after the run.
     pub snapshot_entries: usize,
-    /// Snapshot-trie hit delta.
+    /// Snapshot-resume hit delta of the exploration store.
     pub snapshot_hits: u64,
-    /// Snapshot-trie eviction delta.
+    /// Exploration-store eviction delta.
     pub snapshot_evictions: u64,
     /// Upper-run cache hit delta.
     pub upper_hits: u64,

@@ -10,8 +10,8 @@
 //! failure as `certify_ticket_stack` / `certify_qlock`. The zero-case
 //! calculus steps (`weaken`, `vcomp`) contribute no units.
 //!
-//! Units are the granularity of the certificate store and of warm memo
-//! state; leased *windows* of a unit's flat case grid are the
+//! Units are the granularity of the certificate store and of warm
+//! exploration state; leased *windows* of a unit's flat case grid are the
 //! granularity of shard work.
 
 use std::sync::{Arc, Mutex};
@@ -110,7 +110,7 @@ impl CtxSpec {
                 .with_player(Pid(2), Arc::new(ScratchPlayer::new(Pid(2), buggy::SCRATCH_B))),
         };
         // The structural setters re-key the family to keep accidental
-        // cross-family memo aliasing impossible, so `with_family` must
+        // cross-family store aliasing impossible, so `with_family` must
         // come after them — `ContextGen` debug-asserts this ordering.
         // The pinned family is the unit's semantic sharing key, chosen
         // by `run_unit`, so content-equal lower machines share warm state.
@@ -288,8 +288,7 @@ fn sim_options(
         explore: ExploreOptions {
             workers: params.workers.max(1),
             por: params.por,
-            prefix_share: params.prefix_share,
-            deep_share: params.deep_share,
+            share: params.share,
             window,
             state_dedup: params.state_dedup,
             bytecode: params.bytecode,
@@ -340,12 +339,14 @@ fn unit_fingerprint(stack: &str, unit: &Unit, params: &CertParams) -> ContentHas
     h.usize("opt.workers", sim.explore.workers);
     h.bool("opt.dedup", sim.dedup);
     h.bool("opt.por", sim.explore.por);
-    h.bool("opt.prefix_share", sim.explore.prefix_share);
-    h.bool("opt.deep_share", sim.explore.deep_share);
+    // One switch and one cap, hashed under the labels of the two switches
+    // and two caps they replaced so stored certificates keep their keys.
+    h.bool("opt.prefix_share", sim.explore.share);
+    h.bool("opt.deep_share", sim.explore.share);
     h.bool("opt.bytecode", sim.explore.bytecode);
     h.bool("opt.state_dedup", sim.explore.state_dedup);
-    h.usize("opt.snapshot_cap", sim.explore.snapshot_cap);
-    h.usize("opt.upper_cache_cap", sim.upper_cache_cap);
+    h.usize("opt.snapshot_cap", sim.explore.cache_cap);
+    h.usize("opt.upper_cache_cap", sim.explore.cache_cap);
     h.finish()
 }
 
@@ -395,8 +396,9 @@ pub fn manifest_key(stack: &str, params: &CertParams) -> ContentHash {
     h.usize("workers", params.workers);
     h.bool("dedup", params.dedup);
     h.bool("por", params.por);
-    h.bool("prefix_share", params.prefix_share);
-    h.bool("deep_share", params.deep_share);
+    // `share` under both labels of the two switches it replaced.
+    h.bool("prefix_share", params.share);
+    h.bool("deep_share", params.share);
     h.bool("bytecode", params.bytecode);
     h.bool("state_dedup", params.state_dedup);
     h.finish()
@@ -425,7 +427,7 @@ pub fn stack_units(stack: &str, params: &CertParams) -> Result<Vec<UnitDef>, Str
 }
 
 /// Runs one unit, optionally restricted to the half-open flat-index
-/// `window` and/or seeded with `warm` memo state. Window indices are
+/// `window` and/or seeded with `warm` exploration state. Window indices are
 /// whole-grid positions, so case strings and failure evidence are
 /// identical to an unwindowed run restricted to those cases.
 ///
@@ -448,7 +450,7 @@ pub fn run_unit(
         .ok_or_else(|| format!("unknown unit `{unit_name}` in stack `{stack}`"))?;
     // Pin the schedule-key family to the semantic sharing key so
     // content-equal lower machines (across the units of one stack, and
-    // across requests through the warm map) address one memo/snapshot
+    // across requests through the warm map) address one store
     // key space.
     let family = unit_share_key(unit, params).family();
     let contexts = unit.ctx.build(params, Some(family));
@@ -477,7 +479,7 @@ pub fn run_unit(
     }
 }
 
-/// Warm memo state keyed by the unit's **semantic sharing key**, shared
+/// Warm exploration state keyed by the unit's **semantic sharing key**, shared
 /// by a daemon or shard process across requests. Keying by *content*
 /// makes the reuse sound: equal keys imply content-equal lower machines
 /// explored over one context-grid structure, so every entry a lookup can

@@ -1,6 +1,6 @@
 //! The shard worker: connects to the daemon, polls for chunk leases,
 //! runs each leased window through the registry, and reports back. A
-//! long-lived shard keeps its own warm memo state per semantic sharing
+//! long-lived shard keeps its own warm exploration state per semantic sharing
 //! key (shipped in the lease frame), so re-checks of known units — and
 //! sibling units of an already-explored family — start warm on the
 //! shard too.

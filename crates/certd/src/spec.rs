@@ -19,10 +19,9 @@ pub struct CertParams {
     pub dedup: bool,
     /// Partial-order reduction (grid marking *and* skipping).
     pub por: bool,
-    /// Flat prefix-memo sharing.
-    pub prefix_share: bool,
-    /// Deep query-point snapshot sharing.
-    pub deep_share: bool,
+    /// Lower-run sharing across contexts (stored outcomes and query-point
+    /// snapshots).
+    pub share: bool,
     /// ClightX bytecode VM for module bodies.
     pub bytecode: bool,
     /// Convergence dedup (canonical state fingerprints collapsing
@@ -40,8 +39,7 @@ impl Default for CertParams {
             workers: 1,
             dedup: true,
             por: true,
-            prefix_share: true,
-            deep_share: true,
+            share: true,
             bytecode: true,
             state_dedup: true,
         }
@@ -58,7 +56,8 @@ pub struct CertRequest {
     /// Answer units from the certificate store when possible. Results
     /// are stored either way; `false` forces re-exploration.
     pub use_cache: bool,
-    /// Keep and reuse warm memo state keyed by unit fingerprint.
+    /// Keep and reuse warm exploration state keyed by the unit's semantic
+    /// sharing key.
     pub warm: bool,
     /// Flat-index cases per shard lease; `0` leases each unit whole
     /// (which also makes per-unit step counters comparable to an
@@ -105,19 +104,20 @@ pub struct UnitReport {
     pub failure: Option<String>,
     /// Atom-step delta over the unit's runs.
     pub steps: u64,
-    /// Prefix-memo shared-run delta.
+    /// Delta of lower runs answered by stored outcomes.
     pub shared: u64,
     /// Deep snapshot-resume delta.
     pub deep: u64,
     /// Primitive-step delta.
     pub prim_steps: u64,
-    /// Warm prefix-memo size after the unit (0 when cold).
+    /// Outcomes in the warm exploration store after the unit (0 when
+    /// cold).
     pub memo_entries: usize,
-    /// Warm snapshot-trie size after the unit.
+    /// Cut snapshots in the warm exploration store after the unit.
     pub snapshot_entries: usize,
-    /// Snapshot-trie hit delta.
+    /// Snapshot-resume hit delta of the exploration store.
     pub snapshot_hits: u64,
-    /// Snapshot-trie eviction delta.
+    /// Exploration-store eviction delta.
     pub snapshot_evictions: u64,
     /// Upper-run cache hit delta.
     pub upper_hits: u64,
@@ -215,8 +215,7 @@ impl CertParams {
             ("workers", int(self.workers as u64)),
             ("dedup", Json::Bool(self.dedup)),
             ("por", Json::Bool(self.por)),
-            ("prefix_share", Json::Bool(self.prefix_share)),
-            ("deep_share", Json::Bool(self.deep_share)),
+            ("share", Json::Bool(self.share)),
             ("bytecode", Json::Bool(self.bytecode)),
             ("state_dedup", Json::Bool(self.state_dedup)),
         ])
@@ -230,8 +229,7 @@ impl CertParams {
             workers: get_usize(j, "workers")?,
             dedup: get_bool(j, "dedup")?,
             por: get_bool(j, "por")?,
-            prefix_share: get_bool(j, "prefix_share")?,
-            deep_share: get_bool(j, "deep_share")?,
+            share: get_bool(j, "share")?,
             bytecode: get_bool(j, "bytecode")?,
             // Tolerant: requests encoded before the flag existed default
             // to on, matching `CertParams::default()`.

@@ -7,7 +7,7 @@
 //!    (local runner, shards, chunked or not) must reproduce the per-unit
 //!    case counts, failure strings, and — for serial one-chunk configs —
 //!    the prefix step-counter deltas of calling `registry::run_unit`
-//!    directly, across `workers × por × prefix/deep` engine configs.
+//!    directly, across `workers × por × share` engine configs.
 //! 2. **Registry vs paper pipelines** — the registry's unit
 //!    decomposition must reproduce the per-obligation accounting of
 //!    `certify_ticket_stack_tuned` / `certify_qlock`, so the service
@@ -71,12 +71,11 @@ fn wait_for_shards(daemon: &Daemon, n: usize) {
     panic!("{n} shard(s) never connected");
 }
 
-fn params(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> CertParams {
+fn params(workers: usize, por: bool, share: bool) -> CertParams {
     let mut p = CertParams::default();
     p.workers = workers;
     p.por = por;
-    p.prefix_share = prefix_share;
-    p.deep_share = deep_share;
+    p.share = share;
     p
 }
 
@@ -161,18 +160,17 @@ fn assert_matches_baseline(
 #[test]
 fn daemon_matches_in_process_runs_across_configs() {
     let _guard = serial();
-    // (workers, por, prefix_share, deep_share)
+    // (workers, por, share)
     let configs = [
-        (1, true, true, true),
-        (1, false, true, true),
-        (1, true, true, false),
-        (1, true, false, false),
-        (4, true, true, true),
+        (1, true, true),
+        (1, false, true),
+        (1, true, false),
+        (4, true, true),
     ];
     for stack in ["ticket", "qlock"] {
-        for (workers, por, share, deep) in configs {
-            let label = format!("{stack} workers={workers} por={por} share={share} deep={deep}");
-            let p = params(workers, por, share, deep);
+        for (workers, por, share) in configs {
+            let label = format!("{stack} workers={workers} por={por} share={share}");
+            let p = params(workers, por, share);
             let base = baseline(stack, &p);
             let (daemon, addr) = fresh_daemon();
             let resp = ccal_certd::certify(&addr, &cold_request(stack, &p))

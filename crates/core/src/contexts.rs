@@ -126,7 +126,7 @@ impl ContextGen {
     /// Pins the prefix-sharing family id instead of the process-local
     /// counter value, so *separately constructed* generators — across
     /// units, requests or processes — mint contexts whose schedule keys
-    /// can share memoized runs. The caller asserts that every generator
+    /// can share stored runs. The caller asserts that every generator
     /// pinned to `family` is configured identically (domain, players,
     /// schedule length, fuel): the certification service derives the
     /// family from the unit's semantic sharing key

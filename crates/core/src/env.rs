@@ -86,7 +86,7 @@ pub struct EnvContext {
     /// The schedule script identity for prefix-sharing (see
     /// [`crate::prefix`]); set only by [`crate::contexts::ContextGen`].
     /// Contexts without a key — hand-built ones, scripted replay contexts —
-    /// structurally bypass the prefix memo.
+    /// structurally bypass the exploration store.
     schedule_key: Option<Arc<ScheduleKey>>,
 }
 

@@ -7,17 +7,16 @@
 //! of the schedule prefix the run consumes, folded in index order down to
 //! a verdict and an index-least first failure. Before this module each
 //! checker carried its own copy of the machinery around that loop:
-//! schedule-prefix memoization, query-point snapshot forking, sleep-set
+//! schedule-prefix outcome sharing, query-point snapshot forking, sleep-set
 //! partial-order pruning, work-stealing dispatch, forensics capture, and
 //! the slot fold. [`Kernel`] owns all of it once:
 //!
-//! * **Prefix memoization** ([`crate::prefix::PrefixMemo`]): one executed
-//!   lower run per distinct consumed schedule prefix
-//!   ([`Kernel::run_shared`]).
-//! * **Query-point snapshots** ([`crate::prefix::SnapshotTrie`]): forked
-//!   mid-run machine states at every environment cut point, resumed for
-//!   contexts that diverge later ([`Kernel::resume_deepest`],
-//!   [`Kernel::snapshot`]).
+//! * **One exploration store** ([`crate::prefix::SnapshotTrie`] of
+//!   [`Stored`] entries): forked mid-run machine states at every
+//!   environment cut point, resumed for contexts that diverge later
+//!   ([`Kernel::resume_deepest`], [`Kernel::snapshot`]), and each finished
+//!   run's outcome, so one lower run executes per distinct consumed
+//!   schedule prefix ([`Kernel::run_shared`]).
 //! * **POR pruning**: contexts marked trace-equivalent by the generator
 //!   are skipped and counted without invoking the client
 //!   ([`Kernel::explore`]).
@@ -31,14 +30,14 @@
 //! A checker plugs in by choosing a snapshot type `S` (implementing
 //! [`crate::prefix::ForkSnapshot`] — [`RunSnap`] for single-machine
 //! checkers, [`crate::conc::GameState`] for game-based ones, or a custom
-//! enum like the simulation checker's phase-tagged snapshot), a memoized
+//! enum like the simulation checker's phase-tagged snapshot), a stored
 //! outcome type `T`, and a per-case classification closure returning
 //! [`Case`]. New engines (weak-memory exploration, new certified objects,
 //! service-mode re-certification) get sharing, pruning, parallelism and
 //! capture for free.
 //!
-//! Every switch of a run — workers, reduction, sharing layers, the
-//! convergence cache and the ClightX execution tier — is a field of the
+//! Every switch of a run — workers, reduction, sharing, the convergence
+//! cache and the ClightX execution tier — is a field of the
 //! [`ExploreOptions`] value the caller passes in; nothing on the check
 //! path reads process state, so concurrent checks with different options
 //! cannot observe each other.
@@ -55,7 +54,7 @@ use crate::id::PidSet;
 use crate::layer::{LayerInterface, PrimRun};
 use crate::log::Log;
 use crate::machine::{LayerMachine, MachineError};
-use crate::prefix::{ForkSnapshot, PrefixMemo, ScheduleKey, SnapshotTrie};
+use crate::prefix::{ForkSnapshot, ScheduleKey, SnapshotTrie, Stored};
 
 /// The exploration switches of one bounded check, passed explicitly to
 /// every checker ([`crate::sim::SimOptions::explore`], the verifiers'
@@ -71,15 +70,16 @@ pub struct ExploreOptions {
     /// reduction.
     pub por: bool,
     /// Share lower runs across contexts with a common consumed schedule
-    /// prefix ([`crate::prefix::PrefixMemo`]).
-    pub prefix_share: bool,
-    /// Additionally fork mid-run snapshots at every environment query
-    /// point ([`crate::prefix::SnapshotTrie`]); effective only when
-    /// `prefix_share` is on.
-    pub deep_share: bool,
-    /// Capacity cap on the query-point snapshot trie (deepest-first
-    /// eviction, see [`crate::prefix::SnapshotTrie`]).
-    pub snapshot_cap: usize,
+    /// prefix: store each finished run's outcome and a forked mid-run
+    /// snapshot at every environment query point in the check's
+    /// exploration store ([`crate::prefix::SnapshotTrie`]), and resume
+    /// each new context from its deepest stored ancestor.
+    pub share: bool,
+    /// Capacity cap on each bounded cache of a check: the exploration
+    /// store, the convergence cache and the simulation checker's upper-run
+    /// cache (deepest-first eviction, see
+    /// [`crate::prefix::SnapshotTrie`] and [`BoundedCache`]).
+    pub cache_cap: usize,
     /// Restrict exploration to the half-open flat-index range
     /// `[lo, hi)` of the `ci·ninner+ii` grid. `None` explores the whole
     /// grid. Per-case classification is a deterministic function of the
@@ -93,7 +93,7 @@ pub struct ExploreOptions {
     /// canonical state fingerprint plus the remaining schedule suffix, so
     /// a context converging to an already-explored state completes
     /// without executing another atom step ([`Kernel::converged`]).
-    /// Independent of `prefix_share` — it collapses *diamonds* (different
+    /// Independent of `share` — it collapses *diamonds* (different
     /// prefixes, same state), not shared prefixes.
     pub state_dedup: bool,
     /// Run ClightX primitives on the compiled bytecode tier instead of
@@ -109,9 +109,8 @@ impl Default for ExploreOptions {
         Self {
             workers: crate::par::default_workers(),
             por: true,
-            prefix_share: true,
-            deep_share: true,
-            snapshot_cap: crate::prefix::DEFAULT_SNAPSHOT_CAP,
+            share: true,
+            cache_cap: crate::prefix::DEFAULT_CACHE_CAP,
             window: None,
             state_dedup: true,
             bytecode: true,
@@ -180,29 +179,35 @@ pub struct Explored<D, E> {
     pub failure: Option<E>,
 }
 
-/// The unified exploration kernel: one [`PrefixMemo`] + [`SnapshotTrie`]
-/// pair plus the grid-dispatch loop, parameterized over a fork-able
-/// snapshot type `S` and a memoized outcome type `T`. See the module docs
-/// for the division of labor between the kernel and its clients.
+/// A check's exploration store: cut snapshots of type `S` and finished
+/// outcomes of type `T` in one bounded [`SnapshotTrie`].
+pub type Store<S, T> = SnapshotTrie<Stored<S, T>>;
+
+/// A convergence cache: [`ConvKey`] → `(outcome, donor log length at the
+/// cut, donor total consumed)`.
+pub type ConvCache<T> = BoundedCache<ConvKey, (T, usize, usize)>;
+
+/// The unified exploration kernel: one exploration [`Store`] plus the
+/// grid-dispatch loop, parameterized over a fork-able snapshot type `S`
+/// and a stored outcome type `T`. See the module docs for the division
+/// of labor between the kernel and its clients.
 pub struct Kernel<S, T> {
-    memo: std::sync::Arc<PrefixMemo<T>>,
-    snapshots: std::sync::Arc<SnapshotTrie<S>>,
+    store: std::sync::Arc<Store<S, T>>,
     workers: usize,
     por: bool,
     share: bool,
-    deep: bool,
     window: Option<(usize, usize)>,
     bytecode: bool,
     /// The convergence cache: canonical state fingerprint + remaining
     /// schedule suffix → the suffix's outcome. Per-kernel by default;
-    /// caller-owned (warm across invocations) via
-    /// [`Kernel::with_state_conv`], sound because the key carries the
-    /// schedule family and the content-derived inner index — equal keys
-    /// imply the same computation. The value carries `(outcome, donor log
-    /// length at the cut, donor total consumed)` so a hit can graft the
-    /// donor's suffix log onto the borrower's prefix and memoize at the
-    /// donor's full consumed depth.
-    conv: Option<std::sync::Arc<BoundedCache<ConvKey, (T, usize, usize)>>>,
+    /// caller-owned (warm across invocations) via [`Kernel::with_store`],
+    /// sound because the key carries the schedule family and the
+    /// content-derived inner index — equal keys imply the same
+    /// computation. The value carries `(outcome, donor log length at the
+    /// cut, donor total consumed)` so a hit can graft the donor's suffix
+    /// log onto the borrower's prefix and store the outcome at the donor's
+    /// full consumed depth.
+    conv: Option<std::sync::Arc<ConvCache<T>>>,
     /// Hit/eviction counts of the (possibly shared) convergence cache at
     /// kernel construction, so per-invocation accounting stays exact when
     /// the cache outlives the kernel.
@@ -218,57 +223,46 @@ pub struct Kernel<S, T> {
 /// outcome is forced.
 pub type ConvKey = (u128, u64, usize, Vec<crate::id::Pid>);
 
+/// The store inner under which the outcome of sub-case `inner` lives: the
+/// bitwise complement, so an outcome never shares a key with a cut
+/// snapshot of the same sub-case. A run's last cut and its outcome can
+/// sit at the same consumed depth, and first insert wins, so a shared key
+/// would drop one of them.
+fn outcome_inner(inner: usize) -> usize {
+    !inner
+}
+
 impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
-    /// Creates a kernel for one checker invocation, with fresh (cold)
-    /// memo and snapshot state.
+    /// Creates a kernel for one checker invocation, with a fresh (cold)
+    /// store and convergence cache.
     pub fn new(opts: &ExploreOptions) -> Self {
-        Self::with_state(
+        Self::with_store(
             opts,
-            std::sync::Arc::new(PrefixMemo::new()),
-            std::sync::Arc::new(SnapshotTrie::new(opts.snapshot_cap)),
+            std::sync::Arc::new(SnapshotTrie::new(opts.cache_cap)),
+            Some(std::sync::Arc::new(BoundedCache::new(opts.cache_cap))),
         )
     }
 
-    /// Creates a kernel over *caller-owned* memo and snapshot state, so a
-    /// long-running service can keep them warm across checker invocations.
-    /// Soundness requires that every invocation sharing the state checks
-    /// the same computation over the same schedule-key family: memo
-    /// entries are keyed by `(family, script prefix, inner index)` only,
-    /// so two different checks pinned to one family would read each
-    /// other's outcomes. The certification service keys families by the
-    /// unit's content fingerprint, which makes key collisions imply input
-    /// equality.
-    pub fn with_state(
+    /// Creates a kernel over a *caller-owned* store and convergence cache
+    /// (the cache is ignored when `state_dedup` is off), so a long-running
+    /// service can keep them warm across checker invocations. Soundness
+    /// requires that every invocation sharing the state checks the same
+    /// computation over the same schedule-key family: entries are keyed by
+    /// `(family, script prefix, inner index)` only, so two different
+    /// checks pinned to one family would read each other's outcomes. The
+    /// certification service keys families by the unit's content
+    /// fingerprint, which makes key collisions imply input equality.
+    pub fn with_store(
         opts: &ExploreOptions,
-        memo: std::sync::Arc<PrefixMemo<T>>,
-        snapshots: std::sync::Arc<SnapshotTrie<S>>,
+        store: std::sync::Arc<Store<S, T>>,
+        conv: Option<std::sync::Arc<ConvCache<T>>>,
     ) -> Self {
-        let conv = opts
-            .state_dedup
-            .then(|| std::sync::Arc::new(BoundedCache::new(opts.snapshot_cap.max(1))));
-        Self::with_state_conv(opts, memo, snapshots, conv)
-    }
-
-    /// [`Kernel::with_state`] with a *caller-owned* convergence cache as
-    /// well (ignored when `state_dedup` is off), so a warm store can serve
-    /// convergence hits across invocations. The caller must key sharing by
-    /// a semantic family (equal families ⇒ equal computations), exactly as
-    /// for the memo and the snapshot trie.
-    pub fn with_state_conv(
-        opts: &ExploreOptions,
-        memo: std::sync::Arc<PrefixMemo<T>>,
-        snapshots: std::sync::Arc<SnapshotTrie<S>>,
-        conv: Option<std::sync::Arc<BoundedCache<ConvKey, (T, usize, usize)>>>,
-    ) -> Self {
-        let share = opts.prefix_share;
-        let conv = opts.state_dedup.then(|| conv).flatten();
+        let conv = conv.filter(|_| opts.state_dedup);
         Self {
-            memo,
-            snapshots,
+            store,
             workers: opts.workers,
             por: opts.por,
-            share,
-            deep: share && opts.deep_share,
+            share: opts.share,
             window: opts.window,
             bytecode: opts.bytecode,
             conv_hits_base: conv.as_ref().map_or(0, |c| c.hits()),
@@ -277,20 +271,8 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
         }
     }
 
-    /// Whether whole-outcome prefix sharing is on.
-    pub fn share(&self) -> bool {
-        self.share
-    }
-
-    /// Whether query-point snapshot sharing is on (implies [`share`]).
-    ///
-    /// [`share`]: Kernel::share
-    pub fn deep(&self) -> bool {
-        self.deep
-    }
-
-    /// The context's schedule key, gated on prefix sharing: `None` when
-    /// sharing is off or the context is hand-built (keyless).
+    /// The context's schedule key, gated on sharing: `None` when sharing
+    /// is off or the context is hand-built (keyless).
     pub fn share_key<'e>(&self, env: &'e EnvContext) -> Option<&'e ScheduleKey> {
         if self.share {
             env.schedule_key()
@@ -299,35 +281,30 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
         }
     }
 
-    /// The context's schedule key, gated on deep (snapshot) sharing.
-    pub fn deep_key<'e>(&self, env: &'e EnvContext) -> Option<&'e ScheduleKey> {
-        if self.deep {
-            env.schedule_key()
-        } else {
-            None
-        }
-    }
-
-    /// Looks up the memoized outcome for any consumed prefix of `key`'s
-    /// script, recording a shared (memo-answered) run on a hit.
+    /// Looks up the stored outcome for any consumed prefix of `key`'s
+    /// script, recording a shared (outcome-answered) run on a hit.
     pub fn cached(&self, key: &ScheduleKey, inner: usize) -> Option<T> {
-        let hit = self.memo.lookup(key, inner);
-        if hit.is_some() {
-            crate::prefix::record_shared();
+        match self.store.fork_deepest(key, outcome_inner(inner))? {
+            (_, Stored::Outcome(hit)) => {
+                crate::prefix::record_shared();
+                Some(hit)
+            }
+            (_, Stored::Cut(_)) => None,
         }
-        hit
     }
 
-    /// Memoizes an executed run's outcome at its consumed prefix depth.
+    /// Stores an executed run's outcome at its consumed prefix depth.
     pub fn memoize(&self, key: &ScheduleKey, inner: usize, consumed: usize, outcome: T) {
-        self.memo.insert(key, inner, consumed, outcome);
+        self.store
+            .insert_with(key, outcome_inner(inner), consumed, || Some(Stored::Outcome(outcome)));
     }
 
     /// The standard lower-run composition every checker uses: answer from
-    /// the memo when the context's consumed prefix is cached (recording a
-    /// shared run), otherwise execute via `exec` — which returns the
-    /// outcome plus the consumed schedule-prefix length — and memoize.
-    /// With sharing off (or a keyless context) this is just `exec`.
+    /// the store when the context's consumed prefix has an outcome
+    /// (recording a shared run), otherwise execute via `exec` — which
+    /// returns the outcome plus the consumed schedule-prefix length — and
+    /// store it. With sharing off (or a keyless context) this is just
+    /// `exec`.
     pub fn run_shared(&self, env: &EnvContext, inner: usize, exec: impl FnOnce() -> (T, usize)) -> T {
         match self.share_key(env) {
             Some(k) => {
@@ -348,7 +325,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
     /// checker) should use [`Kernel::lookup_snapshot`] and record
     /// themselves.
     pub fn resume_deepest(&self, key: &ScheduleKey, inner: usize) -> Option<(usize, S)> {
-        let hit = self.snapshots.lookup_deepest(key, inner);
+        let hit = self.lookup_snapshot(key, inner);
         if hit.is_some() {
             crate::prefix::record_deep();
         }
@@ -357,7 +334,10 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
 
     /// [`Kernel::resume_deepest`] without the accounting.
     pub fn lookup_snapshot(&self, key: &ScheduleKey, inner: usize) -> Option<(usize, S)> {
-        self.snapshots.lookup_deepest(key, inner)
+        match self.store.lookup_deepest(key, inner)? {
+            (depth, Stored::Cut(s)) => Some((depth, s)),
+            (_, Stored::Outcome(_)) => None,
+        }
     }
 
     /// Stores a query-point snapshot at the consumed prefix depth (first
@@ -369,12 +349,13 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
         consumed: usize,
         make: impl FnOnce() -> Option<S>,
     ) {
-        self.snapshots.insert_with(key, inner, consumed, make);
+        self.store
+            .insert_with(key, inner, consumed, || make().map(Stored::Cut));
     }
 
     /// The context's schedule key, gated on convergence dedup: `None` when
     /// dedup is off or the context is hand-built (keyless). Deliberately
-    /// *not* gated on `prefix_share` — convergence dedup collapses
+    /// *not* gated on `share` — convergence dedup collapses
     /// diamonds, which exist whether or not prefixes are shared.
     pub fn conv_key<'e>(&self, env: &'e EnvContext) -> Option<&'e ScheduleKey> {
         if self.conv.is_some() {
@@ -501,7 +482,7 @@ impl<S: ForkSnapshot, T: Clone + Send> Kernel<S, T> {
         };
         // With sharing on and several workers, claim the grid in
         // digit-reversed (subtree) order so each worker's chunk shares
-        // long schedule prefixes — the memo then hits within a chunk
+        // long schedule prefixes — the store then hits within a chunk
         // instead of racing across chunks. Subtree order is computed over
         // the whole grid, so it only applies to whole-grid explorations;
         // a window run claims in plain index order.
@@ -556,7 +537,7 @@ impl<S, T> Drop for Kernel<S, T> {
     }
 }
 
-/// The memoized outcome of a traced concurrent (game) run — what the
+/// The stored outcome of a traced concurrent (game) run — what the
 /// linearizability and race-freedom checkers fold over.
 pub type GameRun = (Result<ConcurrentOutcome, MachineError>, Log);
 
@@ -575,7 +556,7 @@ impl Kernel<GameState, GameRun> {
         fuel: u64,
     ) -> GameRun {
         self.run_shared(env, 0, || {
-            let key = self.deep_key(env);
+            let key = self.share_key(env);
             let conv_key = self.conv_key(env);
             let machine = ConcurrentMachine::new(iface.clone(), focused.clone(), env.clone())
                 .with_fuel(fuel)
@@ -586,8 +567,8 @@ impl Kernel<GameState, GameRun> {
                 let consumed = log.iter().filter(|e| e.is_sched()).count();
                 return ((res, log), consumed);
             }
-            // Fork the deepest snapshotted ancestor when deep sharing has
-            // one, and replay (counting) only the remaining turns.
+            // Fork the deepest snapshotted ancestor when sharing has one,
+            // and replay (counting) only the remaining turns.
             let (start, pre) = match key.and_then(|k| self.resume_deepest(k, 0)) {
                 Some((_, st)) => {
                     let pre = st.log_len() as u64;
@@ -595,7 +576,7 @@ impl Kernel<GameState, GameRun> {
                 }
                 None => (machine.init_state(programs), 0),
             };
-            // Each cut point stores a snapshot (deep sharing), then probes
+            // Each cut point stores a snapshot (sharing), then probes
             // the convergence cache; a hit stashes the donor entry and
             // aborts the game at the cut.
             let mut conv_hit: Option<(GameRun, usize, usize)> = None;
@@ -687,7 +668,7 @@ impl<X: Clone + Send> ForkSnapshot for RunSnap<X> {
     }
 }
 
-/// A bounded memo table with **deepest-first eviction**: entries carry a
+/// A bounded cache with **deepest-first eviction**: entries carry a
 /// depth (for the simulation checker's upper-run cache, the length of the
 /// replayed abstract event sequence), and when an insert would exceed the
 /// cap the deepest entries — the most specific, least reusable ones — are
@@ -709,7 +690,7 @@ pub struct BoundedCache<K, V> {
 
 struct CacheStore<K, V> {
     entries: HashMap<K, (usize, u64, V)>,
-    next_seq: u64,
+    evictor: crate::prefix::Evictor,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
@@ -719,7 +700,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
         Self {
             map: Mutex::new(CacheStore {
                 entries: HashMap::new(),
-                next_seq: 0,
+                evictor: crate::prefix::Evictor::default(),
             }),
             cap: cap.max(1),
             hits: AtomicU64::new(0),
@@ -747,32 +728,16 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
             return;
         }
         if store.entries.len() >= self.cap {
-            // The sequence number the incoming entry would be stored
-            // under — strictly newer than every resident's.
-            let incoming_seq = store.next_seq + 1;
-            let mut cand: Vec<(usize, u64, Option<K>)> = store
-                .entries
-                .iter()
-                .map(|(k, (d, s, _))| (*d, *s, Some(k.clone())))
-                .collect();
-            cand.push((depth, incoming_seq, None));
-            // Deepest first; newest first among equal depths.
-            cand.sort_by_key(|c| std::cmp::Reverse((c.0, c.1)));
-            let batch = (self.cap / 8).max(1);
-            for (_, _, victim) in cand.into_iter().take(batch) {
+            let residents = store.entries.iter().map(|(k, (d, seq, _))| (*d, *seq, k.clone()));
+            for victim in store.evictor.victims(residents, depth, self.cap) {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                match victim {
-                    Some(k) => {
-                        store.entries.remove(&k);
-                    }
-                    // The incoming entry is the victim: drop it and stop
-                    // evicting residents — the table no longer overflows.
-                    None => return,
+                let Some(k) = victim else { return };
+                if let Some((d, _, _)) = store.entries.remove(&k) {
+                    store.evictor.release(d);
                 }
             }
         }
-        store.next_seq += 1;
-        let seq = store.next_seq;
+        let seq = store.evictor.admit(depth);
         store.entries.insert(key, (depth, seq, value));
     }
 
@@ -1007,14 +972,17 @@ mod tests {
         }
     }
 
-    fn opts(workers: usize, prefix_share: bool) -> ExploreOptions {
+    fn opts(workers: usize, share: bool) -> ExploreOptions {
         ExploreOptions {
             workers,
             por: false,
-            prefix_share,
-            deep_share: false,
+            share,
             ..ExploreOptions::default()
         }
+    }
+
+    fn key(family: u64, script: &[u32]) -> ScheduleKey {
+        ScheduleKey::new(family, script.iter().map(|&p| Pid(p)).collect(), 2)
     }
 
     fn grid(len: usize) -> Vec<EnvContext> {
@@ -1076,5 +1044,48 @@ mod tests {
             });
         }
         assert_eq!(executions, 2);
+    }
+
+    #[test]
+    fn outcomes_hit_any_consumed_prefix_within_their_family_and_inner() {
+        let kernel: Kernel<NoSnap, &'static str> = Kernel::new(&opts(1, true));
+        // A run under [0,1,0] that consumed 2 slots.
+        kernel.memoize(&key(7, &[0, 1, 0]), 0, 2, "shared");
+        // Scripts agreeing on the first two slots hit; others miss.
+        assert_eq!(kernel.cached(&key(7, &[0, 1, 1]), 0), Some("shared"));
+        assert_eq!(kernel.cached(&key(7, &[0, 0, 0]), 0), None);
+        assert_eq!(kernel.cached(&key(7, &[1, 1, 0]), 0), None);
+        assert_eq!(kernel.cached(&key(8, &[0, 1, 0]), 0), None, "family boundary");
+        assert_eq!(kernel.cached(&key(7, &[0, 1, 0]), 1), None, "inner boundary");
+        // A run that consumed no slots answers every script of its family.
+        kernel.memoize(&key(7, &[1, 1]), 3, 0, "root");
+        assert_eq!(kernel.cached(&key(7, &[0, 0]), 3), Some("root"));
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Tag(&'static str);
+    impl ForkSnapshot for Tag {
+        fn fork(&self) -> Option<Self> {
+            Some(self.clone())
+        }
+    }
+
+    #[test]
+    fn an_outcome_and_a_cut_at_the_same_depth_and_inner_both_land() {
+        // A run's last cut and its outcome can sit at the same consumed
+        // depth under the same sub-case inner; neither may displace the
+        // other.
+        let kernel: Kernel<Tag, &'static str> = Kernel::new(&opts(1, true));
+        let k = key(3, &[0, 1]);
+        kernel.snapshot(&k, 0, 2, || Some(Tag("cut")));
+        kernel.memoize(&k, 0, 2, "outcome");
+        assert_eq!(kernel.lookup_snapshot(&k, 0), Some((2, Tag("cut"))));
+        assert_eq!(kernel.cached(&k, 0), Some("outcome"));
+        // The other order as well, on a fresh key.
+        let k2 = key(4, &[1, 0]);
+        kernel.memoize(&k2, 0, 2, "outcome");
+        kernel.snapshot(&k2, 0, 2, || Some(Tag("cut")));
+        assert_eq!(kernel.cached(&k2, 0), Some("outcome"));
+        assert_eq!(kernel.lookup_snapshot(&k2, 0), Some((2, Tag("cut"))));
     }
 }

@@ -211,7 +211,7 @@ impl ContentHasher {
 /// exploration *family*. Two checks with equal `ShareKey`s explore the
 /// same lower machine (same sources, interfaces and footprints) for the
 /// same participant over the same context-grid structure under the same
-/// exploration-relevant options — so their `PrefixMemo` / `SnapshotTrie` /
+/// exploration-relevant options — so their exploration-store and
 /// convergence-cache entries describe the same deterministic computations
 /// and may safely live in one warm store, keyed apart only by the
 /// per-computation inner index (setup history + called primitive +
@@ -272,12 +272,14 @@ pub fn share_key(
     h.u64("fuel", opts.fuel);
     h.bool("compare_rets", opts.compare_rets);
     h.bool("dedup", opts.dedup);
-    h.bool("prefix_share", opts.explore.prefix_share);
-    h.bool("deep_share", opts.explore.deep_share);
+    // One switch and one cap, hashed under the labels of the two
+    // switches and two caps they replaced so existing keys stay stable.
+    h.bool("prefix_share", opts.explore.share);
+    h.bool("deep_share", opts.explore.share);
     h.bool("bytecode", opts.explore.bytecode);
     h.bool("state_dedup", opts.explore.state_dedup);
-    h.usize("snapshot_cap", opts.explore.snapshot_cap);
-    h.usize("upper_cache_cap", opts.upper_cache_cap);
+    h.usize("snapshot_cap", opts.explore.cache_cap);
+    h.usize("upper_cache_cap", opts.explore.cache_cap);
     ShareKey(h.finish())
 }
 

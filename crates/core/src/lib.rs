@@ -115,7 +115,7 @@ pub mod prelude {
     pub use crate::machine::{LayerMachine, MachineError};
     pub use crate::module::{Lang, Module, ModuleFn};
     pub use crate::por::PidIndependence;
-    pub use crate::prefix::{PrefixMemo, ScheduleKey};
+    pub use crate::prefix::{ScheduleKey, SnapshotTrie, Stored};
     pub use crate::refine::{behaviors, check_contextual_refinement, ClientProgram};
     pub use crate::rely::{Conditions, Invariant, ProbeSuite, RelyGuarantee};
     pub use crate::replay::{

@@ -10,49 +10,43 @@
 //! whenever the run consumes at most `k` scheduling events — most of the
 //! grid is pure recomputation of shared prefixes.
 //!
-//! [`PrefixMemo`] exploits this: after a lower run executes, its outcome
-//! (log, return values, error — whatever the checker folds over) is cached
-//! under the schedule prefix it actually consumed, organizing the grid as
-//! a prefix trie keyed by consumed depth. Any later case whose script
-//! shares that consumed prefix reuses the outcome without re-running the
-//! machine. Because the cached value is the *complete* per-case outcome,
-//! evidence (case counts, probes, index-least first failure) stays
-//! bit-identical to the unshared exploration, independent of visit order.
+//! One [`SnapshotTrie`] per check exploits this. Every query point is a
+//! cut point: the machine state plus a fork of the in-flight run
+//! ([`crate::layer::PrimRun::fork_run`]) determine the rest of the
+//! execution, and the schedule prefix consumed so far is exactly the sched
+//! events in the log. The trie stores such mid-run snapshots keyed by
+//! consumed prefix: exploring a new context walks to the *deepest*
+//! ancestor snapshot, forks it (cheap, Arc/COW-backed), and executes only
+//! the suffix. Many snapshots along a script's path apply at once;
+//! resuming from any of them yields the same outcome by determinism, so
+//! the choice affects work done, never verdicts.
+//!
+//! A run's *finished* outcome (log, return values, error — whatever the
+//! checker folds over) is the snapshot at its terminal cut, so it is one
+//! more trie entry ([`Stored::Outcome`]) under the prefix the run actually
+//! consumed. Any later case whose script shares that consumed prefix
+//! reuses the outcome without re-running the machine. Because the cached
+//! value is the *complete* per-case outcome, evidence (case counts,
+//! probes, index-least first failure) stays bit-identical to the unshared
+//! exploration, independent of visit order.
 //!
 //! Soundness of the clamp: when a run consumes *more* scheduling events
-//! than the script's length (falling into the round-robin tail), the
-//! outcome is cached at the full-script depth — sound because the fallback
+//! than the script's length (falling into the round-robin tail), its
+//! entry is stored at the full-script depth — sound because the fallback
 //! is the same pure log function for every context of the grid (same
 //! domain), so two contexts with equal full scripts are equal contexts.
 //!
-//! # Query-point snapshots
-//!
-//! Whole-outcome memoization cannot help a long multi-query primitive
-//! (e.g. the interpreted ticket `acq`, which spins on `get_n` querying the
-//! environment between polls): such a run consumes most or all of its
-//! script, so no other context shares its *whole* consumed prefix. But
-//! every query point is a cut point — the machine state plus a fork of the
-//! in-flight run ([`crate::layer::PrimRun::fork_run`]) determine the rest
-//! of the execution, and the schedule prefix consumed so far is exactly
-//! the sched events in the log. [`SnapshotTrie`] stores such mid-run
-//! snapshots keyed by consumed prefix: exploring a new context walks to
-//! the *deepest* ancestor snapshot, forks it (cheap, Arc/COW-backed), and
-//! executes only the suffix. Unlike [`PrefixMemo`] — where at most one
-//! stored prefix can apply — many snapshots along a script's path apply
-//! simultaneously; resuming from any of them yields the same outcome by
-//! determinism, so the choice affects work done, never verdicts.
-//!
 //! Only contexts minted by [`crate::contexts::ContextGen`] carry a
 //! [`ScheduleKey`]; hand-built contexts (notably the forensics replay
-//! engine's scripted contexts) have none and structurally bypass the memo.
+//! engine's scripted contexts) have none and structurally bypass the
+//! store.
 //!
-//! Both layers are switched per check by
-//! [`crate::explore::ExploreOptions::prefix_share`] and
-//! [`crate::explore::ExploreOptions::deep_share`].
+//! Sharing is switched per check by
+//! [`crate::explore::ExploreOptions::share`].
 //!
 //! [`ScriptScheduler`]: crate::strategy::ScriptScheduler
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -60,7 +54,7 @@ use crate::id::Pid;
 
 /// Hands out a fresh family id for a [`crate::contexts::ContextGen`]
 /// instance. Keys from different generators never collide in a
-/// [`PrefixMemo`], so a checker handed a mixed slice of contexts (different
+/// [`SnapshotTrie`], so a checker handed a mixed slice of contexts (different
 /// players, domains, or fuel) stays correct — sharing simply does not cross
 /// the family boundary.
 pub fn next_family() -> u64 {
@@ -104,97 +98,12 @@ impl ScheduleKey {
     }
 }
 
-/// A consumed-prefix outcome memo: per `(family, inner-index)` a trie over
-/// schedule prefixes, stored flat as a map from the consumed prefix to the
-/// cached per-case outcome. `inner` distinguishes sub-cases that share a
-/// context (the argument-vector index in the simulation checker, the script
-/// index in the sequence-refinement checker); checkers with one case per
-/// context pass `0`.
-///
-/// The store is sharded by `(family, inner)` so a probe can borrow the
-/// key's script (`Vec<Pid>: Borrow<[Pid]>`) — looking up every prefix
-/// depth allocates nothing while the lock is held.
-pub struct PrefixMemo<T> {
-    map: Mutex<HashMap<(u64, usize), PrefixShard<T>>>,
-}
-
-/// One `(family, inner)` shard: consumed prefix → cached outcome.
-type PrefixShard<T> = HashMap<Vec<Pid>, T>;
-
-impl<T: Clone> PrefixMemo<T> {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        Self {
-            map: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Looks up the outcome cached for any consumed prefix of `key`'s
-    /// script (including the empty prefix — a run that consumed no
-    /// scheduling events — and the full script). At most one stored prefix
-    /// can apply: a cached entry at depth `d` certifies that runs reading
-    /// those `d` slots consume exactly `d` of them, so a second entry at a
-    /// deeper extension of the same prefix can never be inserted.
-    pub fn lookup(&self, key: &ScheduleKey, inner: usize) -> Option<T> {
-        self.lookup_at(key, inner).map(|(_, v)| v)
-    }
-
-    /// [`PrefixMemo::lookup`], additionally reporting the depth of the
-    /// matched prefix — the number of schedule slots the memoized run
-    /// consumed (clamped at insert time for runs that outlived their
-    /// script). Callers that re-cache a derived outcome must key it at
-    /// this depth, *not* at zero: a depth-0 entry matches every script of
-    /// the family, which is only sound for runs that truly read no slots.
-    pub fn lookup_at(&self, key: &ScheduleKey, inner: usize) -> Option<(usize, T)> {
-        let map = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let shard = map.get(&(key.family, inner))?;
-        (0..=key.script.len())
-            .find_map(|d| shard.get(&key.script[..d]).map(|v| (d, v.clone())))
-    }
-
-    /// Caches `value` under the prefix of `key`'s script that the run
-    /// actually consumed (`consumed` scheduling events, clamped to the
-    /// script length for runs that outlived their script — see the module
-    /// docs). First insert wins: two workers racing to compute the same
-    /// prefix computed the same deterministic value.
-    pub fn insert(&self, key: &ScheduleKey, inner: usize, consumed: usize, value: T) {
-        let depth = consumed.min(key.script.len());
-        self.map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry((key.family, inner))
-            .or_default()
-            .entry(key.script[..depth].to_vec())
-            .or_insert(value);
-    }
-
-    /// Number of cached outcomes (distinct consumed prefixes executed).
-    pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-            .map(HashMap::len)
-            .sum()
-    }
-
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Clone> Default for PrefixMemo<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Default cap on live snapshots in a [`SnapshotTrie`] — the same order of
-/// magnitude as [`crate::sim::SimOptions`]'s upper-run cache cap, chosen
-/// to hold a full branching-factor × depth grid of cut points for the
-/// schedule lengths the checkers explore.
-pub const DEFAULT_SNAPSHOT_CAP: usize = 4096;
+/// Default cap on the entries of each bounded exploration cache: the
+/// [`SnapshotTrie`], the convergence cache and the simulation checker's
+/// upper-run cache ([`crate::explore::ExploreOptions::cache_cap`]). Chosen
+/// to hold a full branching-factor × depth grid of cut points and
+/// outcomes for the schedule lengths the checkers explore.
+pub const DEFAULT_CACHE_CAP: usize = 4096;
 
 /// A mid-run machine snapshot that can be forked into an independent copy
 /// per use. The trie stores one *master* per cut point and hands out forks
@@ -207,24 +116,109 @@ pub trait ForkSnapshot: Sized + Send {
     fn fork(&self) -> Option<Self>;
 }
 
-/// A schedule-prefix trie of query-point snapshots: per `(family, inner)`
-/// a map from consumed schedule prefix to the machine state captured just
-/// before that query's environment delivery. See the module docs for the
-/// sharing model; `inner` plays the same role as in [`PrefixMemo`] and
+/// One entry of a check's exploration store: a mid-run cut snapshot, or
+/// the finished outcome of a run — the snapshot at its terminal cut.
+pub enum Stored<S, T> {
+    /// A query-point snapshot to fork and resume.
+    Cut(S),
+    /// A finished run's outcome, reused as is.
+    Outcome(T),
+}
+
+impl<S: ForkSnapshot, T: Clone + Send> ForkSnapshot for Stored<S, T> {
+    fn fork(&self) -> Option<Self> {
+        match self {
+            Stored::Cut(s) => s.fork().map(Stored::Cut),
+            Stored::Outcome(t) => Some(Stored::Outcome(t.clone())),
+        }
+    }
+}
+
+/// The deepest-first eviction policy shared by the bounded stores
+/// ([`SnapshotTrie`] and [`crate::explore::BoundedCache`]): the insertion
+/// sequence and a count of residents per depth.
+#[derive(Default)]
+pub(crate) struct Evictor {
+    depths: BTreeMap<usize, usize>,
+    next_seq: u64,
+}
+
+impl Evictor {
+    /// Records a new resident at `depth` and returns its sequence number,
+    /// newer than every earlier one.
+    pub(crate) fn admit(&mut self, depth: usize) -> u64 {
+        *self.depths.entry(depth).or_default() += 1;
+        self.next_seq += 1;
+        self.next_seq
+    }
+
+    /// Records that a resident at `depth` was removed.
+    pub(crate) fn release(&mut self, depth: usize) {
+        if let std::collections::btree_map::Entry::Occupied(mut e) = self.depths.entry(depth) {
+            *e.get_mut() -= 1;
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
+    }
+
+    /// Picks the victims of one squeeze of a full store. `residents` are
+    /// `(depth, sequence number, id)`; the incoming entry would be stored
+    /// at `depth` and is newer than every resident. Candidates are ordered
+    /// deepest first, newest first among equal depths, and about an
+    /// eighth of `cap` (at least one) are taken. The result ends with
+    /// `None` when the incoming entry itself is a victim: it must then be
+    /// dropped, and no further resident is evicted because the store no
+    /// longer overflows. Every returned item counts as one eviction.
+    ///
+    /// When no resident is deeper than the incoming entry, the incoming
+    /// entry is the first candidate, so it is rejected without scanning
+    /// `residents` at all.
+    pub(crate) fn victims<K>(
+        &self,
+        residents: impl Iterator<Item = (usize, u64, K)>,
+        depth: usize,
+        cap: usize,
+    ) -> Vec<Option<K>> {
+        if self.depths.keys().next_back().is_none_or(|&deepest| depth >= deepest) {
+            return vec![None];
+        }
+        let mut cand: Vec<(usize, u64, Option<K>)> =
+            residents.map(|(d, seq, k)| (d, seq, Some(k))).collect();
+        cand.push((depth, u64::MAX, None));
+        cand.sort_by_key(|c| std::cmp::Reverse((c.0, c.1)));
+        let mut victims = Vec::new();
+        for (_, _, victim) in cand.into_iter().take((cap / 8).max(1)) {
+            let incoming = victim.is_none();
+            victims.push(victim);
+            if incoming {
+                break;
+            }
+        }
+        victims
+    }
+}
+
+/// A check's exploration store: a schedule-prefix trie holding, per
+/// `(family, inner)`, a map from consumed schedule prefix to an entry —
+/// the machine state captured just before a query's environment delivery,
+/// or (as [`Stored`] in the kernel) a finished run's outcome. See the
+/// module docs for the sharing model. `inner` distinguishes sub-cases
+/// that share a context (the argument-vector index, the script index) and
 /// must fully determine the execution's input (primitive, arguments,
-/// phase) so that snapshots of one shard are interchangeable.
+/// phase) so that the entries of one shard are interchangeable.
 ///
 /// Memory is bounded by `cap` with **deepest-first eviction**: when an
-/// insert would exceed the cap, the snapshots at the longest stored
+/// insert would exceed the cap, the entries at the longest stored
 /// prefixes — the most specific cut points, each reusable only by the few
 /// contexts sharing that long prefix — are dropped first, *including the
-/// incoming snapshot itself* when it is the deepest. Root and shallow
+/// incoming entry itself* when it is the deepest. Root and shallow
 /// snapshots, which every later context of the family re-derives from
 /// scratch after a whole-trie clear, survive squeezes. Ties on depth evict
 /// the newest entry first (first insert wins), so a serial run's
 /// hit/evict sequence is deterministic; evictions are batched (about an
 /// eighth of the cap per scan, at least one) to amortize the victim scan
-/// on saturated tries. Snapshots are a pure work-saving device, so
+/// on saturated tries. Entries are a pure work-saving device, so
 /// eviction costs re-execution, never correctness.
 pub struct SnapshotTrie<S> {
     map: Mutex<SnapshotStore<S>>,
@@ -233,25 +227,25 @@ pub struct SnapshotTrie<S> {
     evictions: AtomicU64,
 }
 
-/// One resident snapshot per `(family, inner)` shard, keyed by consumed
+/// One resident entry per `(family, inner)` shard, keyed by consumed
 /// schedule prefix and tagged with its insertion sequence number.
 type SnapshotShards<S> = HashMap<(u64, usize), HashMap<Vec<Pid>, (u64, S)>>;
 
 struct SnapshotStore<S> {
     shards: SnapshotShards<S>,
     len: usize,
-    next_seq: u64,
+    evictor: Evictor,
 }
 
 impl<S: ForkSnapshot> SnapshotTrie<S> {
-    /// Creates an empty trie holding at most `cap` snapshots (clamped to
-    /// at least 1).
+    /// Creates an empty trie holding at most `cap` entries (clamped to at
+    /// least 1).
     pub fn new(cap: usize) -> Self {
         Self {
             map: Mutex::new(SnapshotStore {
                 shards: HashMap::new(),
                 len: 0,
-                next_seq: 0,
+                evictor: Evictor::default(),
             }),
             cap: cap.max(1),
             hits: AtomicU64::new(0),
@@ -259,34 +253,41 @@ impl<S: ForkSnapshot> SnapshotTrie<S> {
         }
     }
 
-    /// Forks the snapshot at the *deepest* stored prefix of `key`'s script
+    /// Forks the entry at the *deepest* stored prefix of `key`'s script
     /// (deepest saves the most re-execution), reporting the matched depth
-    /// and counting a hit. Unlike [`PrefixMemo::lookup_at`], many stored
-    /// prefixes can apply at once; determinism makes the choice
-    /// observationally irrelevant.
+    /// and counting a hit. Many stored prefixes can apply at once;
+    /// determinism makes the choice observationally irrelevant.
     pub fn lookup_deepest(&self, key: &ScheduleKey, inner: usize) -> Option<(usize, S)> {
-        let store = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let shard = store.shards.get(&(key.family, inner))?;
-        let hit = (0..=key.script.len()).rev().find_map(|d| {
-            shard
-                .get(&key.script[..d])
-                .and_then(|(_, s)| s.fork())
-                .map(|s| (d, s))
-        });
+        let hit = self.fork_deepest(key, inner);
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    /// Stores the snapshot produced by `make` under the prefix of `key`'s
+    /// [`SnapshotTrie::lookup_deepest`] without counting a hit: the kernel
+    /// reads stored outcomes this way, so [`SnapshotTrie::hits`] counts
+    /// snapshot lookups only.
+    pub fn fork_deepest(&self, key: &ScheduleKey, inner: usize) -> Option<(usize, S)> {
+        let store = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let shard = store.shards.get(&(key.family, inner))?;
+        (0..=key.script.len()).rev().find_map(|d| {
+            shard
+                .get(&key.script[..d])
+                .and_then(|(_, s)| s.fork())
+                .map(|s| (d, s))
+        })
+    }
+
+    /// Stores the entry produced by `make` under the prefix of `key`'s
     /// script consumed so far (`consumed` scheduling events, clamped to
-    /// the script length — same soundness argument as
-    /// [`PrefixMemo::insert`]). First insert wins, and `make` is only
-    /// called when the cut point is vacant. When the trie is full, the
-    /// deepest snapshots are evicted first; an incoming snapshot at least
-    /// as deep as every resident is rejected instead (`make` is then never
-    /// called). Either way the drop is counted in [`SnapshotTrie::evictions`].
+    /// the script length — see the module docs). First insert wins: two
+    /// workers racing to compute the same prefix computed the same
+    /// deterministic value, and `make` is only called when the cut point
+    /// is vacant. When the trie is full, the deepest entries are evicted
+    /// first; an incoming entry at least as deep as every resident is
+    /// rejected instead (`make` is then never called). Either way the
+    /// drop is counted in [`SnapshotTrie::evictions`].
     pub fn insert_with(
         &self,
         key: &ScheduleKey,
@@ -304,44 +305,28 @@ impl<S: ForkSnapshot> SnapshotTrie<S> {
             return;
         }
         if store.len >= self.cap {
-            // The sequence number the incoming snapshot would be stored
-            // under — strictly newer than every resident's.
-            let incoming_seq = store.next_seq + 1;
-            type Victim = Option<((u64, usize), Vec<Pid>)>;
-            let mut cand: Vec<(usize, u64, Victim)> = Vec::with_capacity(store.len + 1);
-            for (sk, shard) in &store.shards {
-                for (prefix, (seq, _)) in shard {
-                    cand.push((prefix.len(), *seq, Some((*sk, prefix.clone()))));
-                }
-            }
-            cand.push((depth, incoming_seq, None));
-            // Deepest first; newest first among equal depths.
-            cand.sort_by_key(|c| std::cmp::Reverse((c.0, c.1)));
-            let batch = (self.cap / 8).max(1);
-            for (_, _, victim) in cand.into_iter().take(batch) {
+            let residents = store.shards.iter().flat_map(|(sk, shard)| {
+                shard
+                    .iter()
+                    .map(move |(prefix, (seq, _))| (prefix.len(), *seq, (*sk, prefix.clone())))
+            });
+            for victim in store.evictor.victims(residents, depth, self.cap) {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                match victim {
-                    Some((sk, prefix)) => {
-                        let emptied = store.shards.get_mut(&sk).is_some_and(|shard| {
-                            let removed = shard.remove(&prefix).is_some();
-                            debug_assert!(removed, "victim scan saw a live entry");
-                            shard.is_empty()
-                        });
-                        store.len -= 1;
-                        if emptied {
-                            store.shards.remove(&sk);
-                        }
-                    }
-                    // The incoming snapshot is the victim: drop it and
-                    // stop evicting residents — the trie no longer
-                    // overflows.
-                    None => return,
+                let Some((sk, prefix)) = victim else { return };
+                let emptied = store.shards.get_mut(&sk).is_some_and(|shard| {
+                    let removed = shard.remove(&prefix).is_some();
+                    debug_assert!(removed, "victim scan saw a live entry");
+                    shard.is_empty()
+                });
+                store.len -= 1;
+                store.evictor.release(prefix.len());
+                if emptied {
+                    store.shards.remove(&sk);
                 }
             }
         }
         if let Some(snap) = make() {
-            store.next_seq += 1;
-            let seq = store.next_seq;
+            let seq = store.evictor.admit(depth);
             store
                 .shards
                 .entry((key.family, inner))
@@ -351,7 +336,7 @@ impl<S: ForkSnapshot> SnapshotTrie<S> {
         }
     }
 
-    /// Number of live snapshots across all shards.
+    /// Number of live entries across all shards.
     pub fn len(&self) -> usize {
         self.map
             .lock()
@@ -359,17 +344,29 @@ impl<S: ForkSnapshot> SnapshotTrie<S> {
             .len
     }
 
-    /// Whether no snapshot is stored.
+    /// Number of live entries satisfying `pred`.
+    pub fn count(&self, pred: impl Fn(&S) -> bool) -> usize {
+        self.map
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .shards
+            .values()
+            .flat_map(HashMap::values)
+            .filter(|(_, s)| pred(s))
+            .count()
+    }
+
+    /// Whether no entry is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Lookups that forked a stored snapshot since construction.
+    /// Lookups that forked a stored entry since construction.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Snapshots dropped (or incoming inserts rejected) by the
+    /// Entries dropped (or incoming inserts rejected) by the
     /// deepest-first eviction since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -424,8 +421,9 @@ pub fn steps_total() -> u64 {
     steps_counter().load(Ordering::Relaxed)
 }
 
-/// Number of lower runs answered from a [`PrefixMemo`] since the last
-/// [`steps_reset`].
+/// Number of lower runs answered by a stored outcome (or, in the
+/// simulation checker, a sealed setup phase or completed call) since the
+/// last [`steps_reset`].
 pub fn shared_total() -> u64 {
     shared_counter().load(Ordering::Relaxed)
 }
@@ -433,12 +431,13 @@ pub fn shared_total() -> u64 {
 /// Records `n` executed lower-machine atom-steps. Checkers call this once
 /// per *executed* (non-cached) lower run with a work proxy — machine fuel
 /// consumed plus events appended — so the sharing ratio in the benchmarks
-/// counts real machine work, not memo hits.
+/// counts real machine work, not store hits.
 pub fn record_steps(n: u64) {
     steps_counter().fetch_add(n, Ordering::Relaxed);
 }
 
-/// Records one lower run answered from the memo instead of executed.
+/// Records one lower run answered by a stored outcome instead of
+/// executed.
 pub fn record_shared() {
     shared_counter().fetch_add(1, Ordering::Relaxed);
 }
@@ -551,64 +550,6 @@ mod tests {
 
     fn key(family: u64, script: &[u32]) -> ScheduleKey {
         ScheduleKey::new(family, script.iter().map(|&p| Pid(p)).collect(), 2)
-    }
-
-    #[test]
-    fn lookup_hits_any_consumed_prefix() {
-        let memo = PrefixMemo::new();
-        let k_short = key(7, &[0, 1, 0]);
-        // A run under [0,1,0] that consumed 2 slots.
-        memo.insert(&k_short, 0, 2, "shared");
-        // Scripts agreeing on the first two slots hit; others miss.
-        assert_eq!(memo.lookup(&key(7, &[0, 1, 1]), 0), Some("shared"));
-        assert_eq!(memo.lookup(&key(7, &[0, 0, 0]), 0), None);
-        assert_eq!(memo.lookup(&key(7, &[1, 1, 0]), 0), None);
-    }
-
-    #[test]
-    fn depth_zero_entries_hit_every_script() {
-        let memo = PrefixMemo::new();
-        memo.insert(&key(3, &[1, 1]), 0, 0, 42);
-        assert_eq!(memo.lookup(&key(3, &[0, 0]), 0), Some(42));
-        assert_eq!(memo.len(), 1);
-    }
-
-    #[test]
-    fn consumed_depth_clamps_to_script_length() {
-        let memo = PrefixMemo::new();
-        // A run that outlived its script (round-robin tail): cached at the
-        // full script, so only the identical script hits.
-        memo.insert(&key(1, &[0, 1]), 0, 9, "tail");
-        assert_eq!(memo.lookup(&key(1, &[0, 1]), 0), Some("tail"));
-        assert_eq!(memo.lookup(&key(1, &[0, 0]), 0), None);
-    }
-
-    #[test]
-    fn lookup_at_reports_the_matched_depth() {
-        let memo = PrefixMemo::new();
-        memo.insert(&key(9, &[0, 1, 0]), 2, 2, "deep");
-        assert_eq!(memo.lookup_at(&key(9, &[0, 1, 1]), 2), Some((2, "deep")));
-        // Runs that outlived their script are clamped at insert time, so
-        // the reported depth is the stored (full-script) depth.
-        memo.insert(&key(9, &[1, 1]), 2, 7, "tail");
-        assert_eq!(memo.lookup_at(&key(9, &[1, 1]), 2), Some((2, "tail")));
-        assert_eq!(memo.lookup_at(&key(9, &[0, 0, 0]), 2), None);
-    }
-
-    #[test]
-    fn families_and_inner_indices_do_not_cross() {
-        let memo = PrefixMemo::new();
-        memo.insert(&key(1, &[0]), 0, 0, 1);
-        assert_eq!(memo.lookup(&key(2, &[0]), 0), None, "family boundary");
-        assert_eq!(memo.lookup(&key(1, &[0]), 1), None, "inner boundary");
-    }
-
-    #[test]
-    fn first_insert_wins() {
-        let memo = PrefixMemo::new();
-        memo.insert(&key(1, &[0, 1]), 0, 1, "first");
-        memo.insert(&key(1, &[0, 0]), 0, 1, "second");
-        assert_eq!(memo.lookup(&key(1, &[0, 1]), 0), Some("first"));
     }
 
     #[test]
@@ -737,6 +678,34 @@ mod tests {
             Some((1, Snap("shallow", true)))
         );
         assert_eq!(trie.hits(), 1);
+    }
+
+    #[test]
+    fn snapshot_cap_rejects_an_incoming_snapshot_as_deep_as_the_deepest_resident() {
+        // Ties on depth evict the newest entry first, and the incoming
+        // snapshot is the newest: a full trie keeps its resident.
+        let trie = SnapshotTrie::new(2);
+        trie.insert_with(&key(8, &[0, 0]), 0, 1, || Some(Snap("a", true)));
+        trie.insert_with(&key(8, &[1, 0]), 0, 2, || Some(Snap("b", true)));
+        let mut made = false;
+        trie.insert_with(&key(8, &[1, 1]), 0, 2, || {
+            made = true;
+            Some(Snap("c", true))
+        });
+        assert!(!made, "rejected incoming snapshots are never made");
+        assert_eq!(trie.evictions(), 1);
+        assert_eq!(
+            trie.lookup_deepest(&key(8, &[1, 0]), 0),
+            Some((2, Snap("b", true)))
+        );
+        // A shallower one still displaces the deepest resident, after
+        // which that depth is free again.
+        trie.insert_with(&key(8, &[1, 1]), 0, 1, || Some(Snap("d", true)));
+        assert_eq!(trie.evictions(), 2);
+        assert_eq!(trie.lookup_deepest(&key(8, &[1, 0]), 0).map(|(d, _)| d), Some(1));
+        trie.insert_with(&key(8, &[0, 1]), 0, 2, || Some(Snap("e", true)));
+        assert_eq!(trie.evictions(), 3, "a depth-2 entry meets two depth-1 residents");
+        assert_eq!(trie.len(), 2);
     }
 
     /// The clear-on-full regression: under a cap-1 squeeze, deepest-first

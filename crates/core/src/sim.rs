@@ -46,14 +46,14 @@
 //!
 //! Symmetrically, *lower* runs are shared across contexts whose schedule
 //! scripts agree on the prefix the run actually consumes
-//! ([`ExploreOptions::prefix_share`], see [`crate::prefix`]): the grid is
-//! a schedule-prefix trie, and each distinct consumed prefix is executed
-//! once. With [`ExploreOptions::deep_share`] the trie additionally stores a
-//! forked [`LayerMachine`] snapshot at *every* environment query point —
-//! inside the setup phase, at each query of the checked call, and at its
-//! pre-flush return — so a new context resumes from its deepest
-//! snapshotted ancestor and executes only the schedule suffix
-//! ([`crate::prefix::SnapshotTrie`]). Sharing never changes the verdict,
+//! ([`ExploreOptions::share`], see [`crate::prefix`]): the grid is a
+//! schedule-prefix trie, and each distinct consumed prefix is executed
+//! once. The trie also stores a forked [`LayerMachine`] snapshot at
+//! *every* environment query point — inside the setup phase, at each
+//! query of the checked call, and at its pre-flush return — so a new
+//! context resumes from its deepest snapshotted ancestor and executes only
+//! the schedule suffix ([`crate::prefix::SnapshotTrie`]). Sharing never
+//! changes the verdict,
 //! the first failure, or the evidence, because every shared outcome is
 //! exactly what re-execution would have produced.
 
@@ -62,11 +62,12 @@ use std::sync::Arc;
 
 use crate::env::EnvContext;
 use crate::event::Event;
-use crate::explore::{Case, ExploreOptions};
+use crate::explore::{BoundedCache, Case, ConvCache, ExploreOptions, Kernel, Store};
 use crate::id::Pid;
 use crate::layer::{LayerInterface, PrimRun};
 use crate::log::Log;
 use crate::machine::LayerMachine;
+use crate::prefix::Stored;
 use crate::rely::ProbeSuite;
 use crate::strategy::{FnStrategy, StrategyMove};
 use crate::val::Val;
@@ -316,17 +317,8 @@ pub struct SimOptions {
     /// whose logs abstract to the same upper environment — are explored
     /// once. Never changes the verdict or the evidence; on by default.
     pub dedup: bool,
-    /// Capacity cap on the upper-run memo table
-    /// ([`crate::explore::BoundedCache`]). When an insert would exceed the
-    /// cap, the deepest entries — the longest replayed event sequences,
-    /// the least likely to recur — are evicted first, so shallow entries
-    /// that many later cases re-derive survive the squeeze instead of
-    /// being dropped by a whole-table clear. The memory footprint stays
-    /// bounded on huge grids while verdicts and evidence are unchanged —
-    /// a miss merely re-runs the deterministic upper machine.
-    pub upper_cache_cap: usize,
     /// Caller-owned warm state ([`SimWarm`]) shared across checker
-    /// invocations: the prefix memo, query-point snapshot trie and
+    /// invocations: the exploration store, the convergence cache and the
     /// upper-run cache survive the call instead of being dropped with the
     /// kernel. `None` — the default — runs cold. Soundness requires every
     /// invocation sharing one handle to check the *same* computation over
@@ -334,14 +326,10 @@ pub struct SimOptions {
     /// handles (and families) by the unit's content fingerprint.
     pub warm: Option<SimWarm>,
     /// The exploration switches of the `context·nargs+arg` case grid:
-    /// workers, reduction, sharing layers, convergence dedup, the ClightX
-    /// tier and the leased window.
+    /// workers, reduction, sharing, convergence dedup, the ClightX tier,
+    /// the leased window and the cap on every cache of the check,
+    /// including the upper-run memo table.
     pub explore: ExploreOptions,
-}
-
-impl SimOptions {
-    /// Default capacity of the upper-run memo table.
-    pub const DEFAULT_UPPER_CACHE_CAP: usize = 4096;
 }
 
 impl Default for SimOptions {
@@ -351,7 +339,6 @@ impl Default for SimOptions {
             compare_rets: true,
             setup: Vec::new(),
             dedup: true,
-            upper_cache_cap: Self::DEFAULT_UPPER_CACHE_CAP,
             warm: None,
             explore: ExploreOptions::default(),
         }
@@ -361,9 +348,10 @@ impl Default for SimOptions {
 /// The memoized outcome of a case's upper half — a deterministic function
 /// of the replayed abstract event sequence and the argument vector, which
 /// makes it memoizable across symmetric schedules. The memo is bounded
-/// with deepest-first eviction: entries are keyed at the length of the
-/// replayed sequence, so the long, unlikely-to-recur runs are dropped
-/// before the short ones many cases share.
+/// by [`ExploreOptions::cache_cap`] with deepest-first eviction: entries
+/// are keyed at the length of the replayed sequence, so the long,
+/// unlikely-to-recur runs are dropped before the short ones many cases
+/// share, and a miss merely re-runs the deterministic upper machine.
 #[derive(Clone)]
 enum UpperRun {
     Skipped,
@@ -371,11 +359,12 @@ enum UpperRun {
     Done { upper_log: Log, upper_ret: Val },
 }
 
-/// The memoized outcome of a case's lower half — a deterministic function
+/// The stored outcome of a case's lower half — a deterministic function
 /// of the schedule prefix the run consumes and the argument vector, which
-/// makes it shareable across contexts with a common consumed prefix via
-/// [`crate::prefix::PrefixMemo`]. Reasons deliberately omit the case
-/// description: the per-case wrapper re-attaches it.
+/// makes it shareable across contexts with a common consumed prefix as a
+/// [`crate::prefix::Stored::Outcome`] of the kernel's store. Reasons
+/// deliberately omit the case description: the per-case wrapper
+/// re-attaches it.
 #[derive(Clone)]
 enum LowerRun {
     Skipped,
@@ -395,14 +384,14 @@ enum LowerRun {
 ///
 /// Four states, three inner domains:
 /// * `Inflight` — mid-call at an environment query point (needs
-///   [`PrimRun::fork_run`]; stored only with deep sharing on). Valid in
+///   [`PrimRun::fork_run`]). Valid in
 ///   both phases: histories matching implies the same machine state.
 /// * `Done` under a **done** inner — the machine right after the call
 ///   returned, *before* any trailing environment flush. Also
 ///   phase-interchangeable: a setup phase never flushes between calls,
 ///   and the checked phase flushes only after its return point.
 /// * `Done` under a **flush** inner — the machine mid-flush (one entry
-///   per delivered slot, deep sharing only). Checked phase *only*: a
+///   per delivered slot). Checked phase *only*: a
 ///   setup continuation would deliver those environment turns under the
 ///   next call instead, so resuming one mid-setup would skip turns.
 /// * `Abort`/`PostSetup` under the setup **phase** inner — the sealed
@@ -448,15 +437,16 @@ impl crate::prefix::ForkSnapshot for SimSnap {
 }
 
 /// Caller-owned warm exploration state for [`check_prim_refinement`]: the
-/// schedule-prefix memo, the query-point snapshot trie and the upper-run
-/// cache, kept alive across checker invocations instead of dropped with
+/// exploration store (query-point snapshots and finished lower-run
+/// outcomes), the convergence cache and the upper-run cache, kept alive
+/// across checker invocations instead of dropped with
 /// each call's kernel. A long-running certification service holds one
 /// handle per distinct check configuration (keyed by content
 /// fingerprint), so back-to-back certifications of the same unit share
-/// prefixes and replay memoized runs.
+/// prefixes and replay stored runs.
 ///
 /// Sharing one handle between checks of *different* semantic families is
-/// unsound: memo and snapshot entries are keyed by `(schedule family,
+/// unsound: store entries are keyed by `(schedule family,
 /// script prefix, inner index)` only, so the caller must guarantee that
 /// equal families imply equal lower-machine explorations. The
 /// certification service keys warm handles by
@@ -469,14 +459,9 @@ impl crate::prefix::ForkSnapshot for SimSnap {
 /// the same reason.
 #[derive(Clone, Default)]
 pub struct SimWarm {
-    memo: Arc<crate::prefix::PrefixMemo<LowerRun>>,
-    snaps: Arc<std::sync::OnceLock<Arc<crate::prefix::SnapshotTrie<SimSnap>>>>,
-    upper: Arc<std::sync::OnceLock<Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>>>>,
-    conv: Arc<
-        std::sync::OnceLock<
-            Arc<crate::explore::BoundedCache<crate::explore::ConvKey, (LowerRun, usize, usize)>>,
-        >,
-    >,
+    store: Arc<std::sync::OnceLock<Arc<Store<SimSnap, LowerRun>>>>,
+    upper: Arc<std::sync::OnceLock<Arc<BoundedCache<(Log, u128), UpperRun>>>>,
+    conv: Arc<std::sync::OnceLock<Arc<ConvCache<LowerRun>>>>,
 }
 
 /// Point-in-time accounting for a [`SimWarm`] handle, surfaced
@@ -484,13 +469,14 @@ pub struct SimWarm {
 /// snapshots give per-request hits/evictions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WarmStats {
-    /// Memoized lower-run outcomes resident in the prefix memo.
+    /// Finished lower-run outcomes resident in the exploration store.
     pub memo_entries: usize,
-    /// Query-point snapshots resident in the trie.
+    /// Cut snapshots resident in the exploration store.
     pub snapshot_entries: usize,
-    /// Snapshot-trie lookups answered since the handle was created.
+    /// Snapshot lookups answered since the handle was created (stored
+    /// outcomes are counted by [`crate::prefix::shared_total`] instead).
     pub snapshot_hits: u64,
-    /// Snapshot-trie entries evicted (deepest-first) since creation.
+    /// Store entries evicted (deepest-first) since creation.
     pub snapshot_evictions: u64,
     /// Upper-run cache entries resident.
     pub upper_entries: usize,
@@ -506,41 +492,37 @@ impl SimWarm {
         Self::default()
     }
 
-    /// The snapshot trie, created at `cap` on first use (later calls keep
-    /// the first capacity — one handle serves one check configuration).
-    fn snaps(&self, cap: usize) -> Arc<crate::prefix::SnapshotTrie<SimSnap>> {
-        self.snaps
+    /// The exploration store, created at `cap` on first use (later calls
+    /// keep the first capacity — one handle serves one check
+    /// configuration).
+    fn store(&self, cap: usize) -> Arc<Store<SimSnap, LowerRun>> {
+        self.store
             .get_or_init(|| Arc::new(crate::prefix::SnapshotTrie::new(cap)))
             .clone()
     }
 
     /// The upper-run cache, created at `cap` on first use.
-    fn upper(&self, cap: usize) -> Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>> {
+    fn upper(&self, cap: usize) -> Arc<BoundedCache<(Log, u128), UpperRun>> {
         self.upper
-            .get_or_init(|| Arc::new(crate::explore::BoundedCache::new(cap)))
+            .get_or_init(|| Arc::new(BoundedCache::new(cap)))
             .clone()
     }
 
     /// The convergence cache, created at `cap` on first use.
-    fn conv(
-        &self,
-        cap: usize,
-    ) -> Arc<crate::explore::BoundedCache<crate::explore::ConvKey, (LowerRun, usize, usize)>> {
+    fn conv(&self, cap: usize) -> Arc<ConvCache<LowerRun>> {
         self.conv
-            .get_or_init(|| Arc::new(crate::explore::BoundedCache::new(cap)))
+            .get_or_init(|| Arc::new(BoundedCache::new(cap)))
             .clone()
     }
 
     /// Current accounting for this handle.
     pub fn stats(&self) -> WarmStats {
-        let mut stats = WarmStats {
-            memo_entries: self.memo.len(),
-            ..WarmStats::default()
-        };
-        if let Some(snaps) = self.snaps.get() {
-            stats.snapshot_entries = snaps.len();
-            stats.snapshot_hits = snaps.hits();
-            stats.snapshot_evictions = snaps.evictions();
+        let mut stats = WarmStats::default();
+        if let Some(store) = self.store.get() {
+            stats.memo_entries = store.count(|e| matches!(e, Stored::Outcome(_)));
+            stats.snapshot_entries = store.count(|e| matches!(e, Stored::Cut(_)));
+            stats.snapshot_hits = store.hits();
+            stats.snapshot_evictions = store.evictions();
         }
         if let Some(upper) = self.upper.get() {
             stats.upper_entries = upper.len();
@@ -596,9 +578,10 @@ pub fn check_prim_refinement(
     // upper machines, relations and setups all differ — so the cache key
     // carries a content signature of everything the upper run depends on
     // besides the replayed sequence.
-    let upper_cache: Arc<crate::explore::BoundedCache<(Log, u128), UpperRun>> = match &opts.warm {
-        Some(w) => w.upper(opts.upper_cache_cap),
-        None => Arc::new(crate::explore::BoundedCache::new(opts.upper_cache_cap)),
+    let cap = opts.explore.cache_cap;
+    let upper_cache: Arc<BoundedCache<(Log, u128), UpperRun>> = match &opts.warm {
+        Some(w) => w.upper(cap),
+        None => Arc::new(BoundedCache::new(cap)),
     };
     let upper_sig: Vec<u128> = arg_vectors
         .iter()
@@ -658,28 +641,24 @@ pub fn check_prim_refinement(
             },
         }
     };
-    // The kernel owns the prefix memo and the snapshot trie — warm
-    // (caller-owned, surviving this call) when the options carry a
+    // The kernel owns the exploration store and the convergence cache —
+    // warm (caller-owned, surviving this call) when the options carry a
     // [`SimWarm`] handle. Sim's phase accounting distinguishes shared
-    // (`Abort`/`PostSetup`/`Return`) from deep (`Setup`/`Call`) snapshot
-    // hits, so it resumes via the raw
+    // (`Abort`/`PostSetup`/`Done`) from deep (`Inflight`) snapshot hits,
+    // so it resumes via the raw
     // [`crate::explore::Kernel::lookup_snapshot`] and records itself.
     let explore_opts = &opts.explore;
-    let kernel: crate::explore::Kernel<SimSnap, LowerRun> = match &opts.warm {
-        Some(w) => crate::explore::Kernel::with_state_conv(
+    let kernel: Kernel<SimSnap, LowerRun> = match &opts.warm {
+        Some(w) => Kernel::with_store(
             explore_opts,
-            w.memo.clone(),
-            w.snaps(explore_opts.snapshot_cap),
-            explore_opts
-                .state_dedup
-                .then(|| w.conv(explore_opts.snapshot_cap.max(1))),
+            w.store(cap),
+            explore_opts.state_dedup.then(|| w.conv(cap)),
         ),
-        None => crate::explore::Kernel::new(explore_opts),
+        None => Kernel::new(explore_opts),
     };
-    let deep = kernel.deep();
     let sched_consumed =
         |m: &LayerMachine| m.log.iter().filter(|e| e.is_sched()).count();
-    // Content-derived inner indices. A memo/trie/convergence entry's inner
+    // Content-derived inner indices. A store/convergence entry's inner
     // identifies the *computation* it belongs to — the completed call
     // history plus (for call-scoped states) the call in flight and its
     // arguments — hashed down to a `usize`. Within one check this
@@ -715,7 +694,7 @@ pub fn check_prim_refinement(
         .map(|k| inner_of("sim.inner.done", k, &opts.setup[k].0, &opts.setup[k].1))
         .collect();
     let phase_inner = inner_of("sim.inner.setup-phase", opts.setup.len(), "", &[]);
-    // Checked call, per argument vector: the memo/convergence case inner,
+    // Checked call, per argument vector: the outcome/convergence case inner,
     // the mid-call inner, the pre-flush return inner (phase-
     // interchangeable with a setup call), and the post-flush inner
     // (checked phase only — see [`SimSnap`]).
@@ -748,7 +727,7 @@ pub fn check_prim_refinement(
         };
     // Runs the setup calls from index `first` on `m` — finishing `inflight`
     // first when resuming a mid-call snapshot — capturing an `Inflight`
-    // snapshot at every query point when deep sharing is on and a `Done`
+    // snapshot at every query point when sharing is on and a `Done`
     // snapshot at every completed call (the pre-flush state another unit's
     // *checked* call of the same primitive can resume). Returns the abort
     // outcome when a call skips or fails.
@@ -795,7 +774,7 @@ pub fn check_prim_refinement(
         }
         for (i, (sname, sargs)) in opts.setup.iter().enumerate().skip(call_idx.get()) {
             call_idx.set(i);
-            let res = if deep {
+            let res = if key.is_some() {
                 m.call_prim_with_snapshots(sname, sargs, &mut hook)
             } else {
                 m.call_prim(sname, sargs)
@@ -867,11 +846,11 @@ pub fn check_prim_refinement(
                 // abstractions (events authored during another
                 // participant's turn) are fully delivered before comparing
                 // — capturing a deeper `Done` snapshot per flushed slot
-                // when deep sharing is on, since the flush prefix is the
-                // same for every context agreeing on those slots. These
-                // live under the checked-phase-only flush inner: a setup
+                // when sharing is on, since the flush prefix is the same
+                // for every context agreeing on those slots. These live
+                // under the checked-phase-only flush inner: a setup
                 // continuation must never resume a post-flush state.
-                match key.filter(|_| deep) {
+                match key {
                     Some(k) => {
                         let ret = lower_ret.clone();
                         let _ = lower.deliver_env_each_turn(&mut |m| {
@@ -926,16 +905,15 @@ pub fn check_prim_refinement(
     };
     // Drives the checked call for sub-case `ai`: `start` launches (or
     // resumes) the call under an abort-capable query-point hook that
-    // captures `Call` snapshots (when `snap`) and probes the convergence
-    // cache. A convergence hit aborts at the cut and grafts the donor's
-    // suffix; a completed run seeds the cache at every cut it passed
-    // through. Returns the outcome plus the consumed schedule depth —
-    // the *donor's* total depth on a hit, so memoization happens at the
-    // depth the full run actually reads.
+    // captures `Inflight` snapshots (when sharing) and probes the
+    // convergence cache. A convergence hit aborts at the cut and grafts
+    // the donor's suffix; a completed run seeds the cache at every cut it
+    // passed through. Returns the outcome plus the consumed schedule
+    // depth — the *donor's* total depth on a hit, so the outcome is stored
+    // at the depth the full run actually reads.
     let drive_checked = |lower: &mut LayerMachine,
                          env: &EnvContext,
                          ai: usize,
-                         snap: bool,
                          start: &mut dyn FnMut(
         &mut LayerMachine,
         &mut dyn FnMut(&LayerMachine, &dyn PrimRun) -> bool,
@@ -951,10 +929,8 @@ pub fn check_prim_refinement(
         let mut probes: Vec<(crate::fingerprint::ContentHash, usize, usize)> = Vec::new();
         let res = {
             let mut hook = |mach: &LayerMachine, run: &dyn PrimRun| -> bool {
-                if snap {
-                    if let Some(k) = key {
-                        snap_call_point(k, ai, mach, run);
-                    }
+                if let Some(k) = key {
+                    snap_call_point(k, ai, mach, run);
                 }
                 if let Some(k) = conv_key {
                     let consumed = sched_consumed(mach);
@@ -1088,17 +1064,13 @@ pub fn check_prim_refinement(
                 }
             }
         };
-        drive_checked(
-            &mut lower,
-            env,
-            ai,
-            deep,
-            &mut |m, hook| m.call_prim_ctl(lower_prim, args, hook),
-        )
+        drive_checked(&mut lower, env, ai, &mut |m, hook| {
+            m.call_prim_ctl(lower_prim, args, hook)
+        })
     };
     // 1. Run the lower machine — once per distinct consumed schedule
     // prefix and argument vector when sharing is on; every context whose
-    // script extends a memoized prefix replays the recorded outcome, and
+    // script extends a stored outcome's prefix replays it, and
     // contexts that agree only up to some snapshot's cut point fork it and
     // execute just the schedule suffix.
     let run_lower = |env: &EnvContext, ai: usize, args: &[Val]| -> LowerRun {
@@ -1121,19 +1093,15 @@ pub fn check_prim_refinement(
                     crate::prefix::record_shared();
                     let mut lower = machine.fork_with_env(env.clone());
                     let pre = lower.steps_taken() + lower.log.len() as u64;
-                    if deep {
-                        let r = ret.clone();
-                        let _ = lower.deliver_env_each_turn(&mut |m| {
-                            kernel.snapshot(k, chk_flush[ai], sched_consumed(m), || {
-                                Some(SimSnap::Done {
-                                    machine: m.fork(),
-                                    ret: r.clone(),
-                                })
-                            });
+                    let r = ret.clone();
+                    let _ = lower.deliver_env_each_turn(&mut |m| {
+                        kernel.snapshot(k, chk_flush[ai], sched_consumed(m), || {
+                            Some(SimSnap::Done {
+                                machine: m.fork(),
+                                ret: r.clone(),
+                            })
                         });
-                    } else {
-                        let _ = lower.deliver_env();
-                    }
+                    });
                     crate::prefix::record_steps(
                         lower.steps_taken() + lower.log.len() as u64 - pre,
                     );
@@ -1152,18 +1120,12 @@ pub fn check_prim_refinement(
                 crate::prefix::record_deep();
                 let mut lower = machine.fork_with_env(env.clone());
                 let mut inflight = Some(run);
-                break 'hit Some(drive_checked(
-                    &mut lower,
-                    env,
-                    ai,
-                    true,
-                    &mut |m, hook| {
-                        m.resume_query_ctl(
-                            inflight.take().expect("the call resumes exactly once"),
-                            hook,
-                        )
-                    },
-                ));
+                break 'hit Some(drive_checked(&mut lower, env, ai, &mut |m, hook| {
+                    m.resume_query_ctl(
+                        inflight.take().expect("the call resumes exactly once"),
+                        hook,
+                    )
+                }));
             }
             None
         };
@@ -1419,10 +1381,10 @@ mod tests {
             .with_schedule_len(3)
             .contexts();
         let args = vec![vec![Val::Loc(Loc(0))], vec![Val::Loc(Loc(1))]];
-        let serial = |upper_cache_cap: usize| SimOptions {
-            upper_cache_cap,
+        let serial = |cache_cap: usize| SimOptions {
             explore: ExploreOptions {
                 workers: 1,
+                cache_cap,
                 ..ExploreOptions::default()
             },
             ..SimOptions::default()
@@ -1440,7 +1402,7 @@ mod tests {
                 &opts,
             )
         };
-        let base = run(serial(SimOptions::DEFAULT_UPPER_CACHE_CAP)).unwrap();
+        let base = run(serial(crate::prefix::DEFAULT_CACHE_CAP)).unwrap();
         // Cap 1 forces an eviction on every insert after the first.
         let capped = run(serial(1)).unwrap();
         assert_eq!(base.cases_checked, capped.cases_checked);
@@ -1464,7 +1426,7 @@ mod tests {
             )
             .unwrap_err()
         };
-        let f1 = fail(serial(SimOptions::DEFAULT_UPPER_CACHE_CAP));
+        let f1 = fail(serial(crate::prefix::DEFAULT_CACHE_CAP));
         let f2 = fail(serial(1));
         assert_eq!(f1.case, f2.case);
         assert_eq!(f1.reason, f2.reason);
@@ -1478,20 +1440,19 @@ mod tests {
             .with_schedule_len(3)
             .contexts();
         let args = vec![vec![Val::Loc(Loc(0))], vec![Val::Loc(Loc(1))]];
-        let deep = |snapshot_cap: usize| SimOptions {
+        let shared = |cache_cap: usize| SimOptions {
             explore: ExploreOptions {
                 workers: 1,
-                prefix_share: true,
-                deep_share: true,
-                snapshot_cap,
+                share: true,
+                cache_cap,
                 ..ExploreOptions::default()
             },
             ..SimOptions::default()
         };
-        let run = |snapshot_cap: usize| {
+        let run = |cache_cap: usize| {
             let opts = SimOptions {
                 setup: vec![("op".to_owned(), vec![Val::Loc(Loc(2))])],
-                ..deep(snapshot_cap)
+                ..shared(cache_cap)
             };
             check_prim_refinement(
                 &lower,
@@ -1505,7 +1466,7 @@ mod tests {
                 &opts,
             )
         };
-        let base = run(crate::prefix::DEFAULT_SNAPSHOT_CAP).unwrap();
+        let base = run(crate::prefix::DEFAULT_CACHE_CAP).unwrap();
         // Cap 1 forces an eviction on every snapshot insert after the
         // first, so most cases re-execute from scratch.
         let capped = run(1).unwrap();
@@ -1516,7 +1477,7 @@ mod tests {
 
         // A failing pair reports the identical first counterexample.
         let bad = emit_iface("L-bad", EventKind::Rel);
-        let fail = |snapshot_cap: usize| {
+        let fail = |cache_cap: usize| {
             check_prim_refinement(
                 &lower,
                 "op",
@@ -1526,14 +1487,61 @@ mod tests {
                 Pid(1),
                 &contexts,
                 &args,
-                &deep(snapshot_cap),
+                &shared(cache_cap),
             )
             .unwrap_err()
         };
-        let f1 = fail(crate::prefix::DEFAULT_SNAPSHOT_CAP);
+        let f1 = fail(crate::prefix::DEFAULT_CACHE_CAP);
         let f2 = fail(1);
         assert_eq!(f1.case, f2.case);
         assert_eq!(f1.reason, f2.reason);
+    }
+
+    #[test]
+    fn a_warm_store_stays_within_the_cache_cap() {
+        // One warm handle reused over several checks of growing argument
+        // sets: every finished outcome and cut snapshot lives in the one
+        // bounded store, so together they never exceed the cap.
+        let lower = emit_iface("L-low", EventKind::Acq);
+        let upper = emit_iface("L-up", EventKind::Acq);
+        let contexts = crate::contexts::ContextGen::new(vec![Pid(0), Pid(1)])
+            .with_schedule_len(4)
+            .contexts();
+        let cap = 8;
+        let warm = SimWarm::new();
+        for round in 1..=4_u32 {
+            let args: Vec<Vec<Val>> = (0..round * 4).map(|i| vec![Val::Loc(Loc(i))]).collect();
+            let opts = SimOptions {
+                setup: vec![("op".to_owned(), vec![Val::Loc(Loc(100 + round))])],
+                warm: Some(warm.clone()),
+                explore: ExploreOptions {
+                    workers: 1,
+                    cache_cap: cap,
+                    ..ExploreOptions::default()
+                },
+                ..SimOptions::default()
+            };
+            check_prim_refinement(
+                &lower,
+                "op",
+                &upper,
+                "op",
+                &SimRelation::identity(),
+                Pid(1),
+                &contexts,
+                &args,
+                &opts,
+            )
+            .expect("identity refinement holds");
+            let stats = warm.stats();
+            assert!(
+                stats.memo_entries + stats.snapshot_entries <= cap,
+                "round {round}: {} outcomes + {} snapshots exceed the cap of {cap}",
+                stats.memo_entries,
+                stats.snapshot_entries
+            );
+            assert!(stats.upper_entries <= cap, "round {round}: upper-run cache over the cap");
+        }
     }
 
     #[test]

@@ -44,13 +44,12 @@ pub struct ReplayOptions {
     pub dedup: bool,
     /// Partial-order reduction (always off for replay).
     pub por: bool,
-    /// Prefix-sharing of lower runs (always off for replay; decoded
-    /// tolerantly — artifacts written before the knob existed read as
-    /// `false`).
-    pub prefix_share: bool,
-    /// Deep prefix-sharing via query-point snapshots (always off for
-    /// replay; decoded tolerantly like `prefix_share`).
-    pub deep_share: bool,
+    /// Sharing of lower runs across contexts (always off for replay;
+    /// decoded tolerantly — artifacts written before the knob existed read
+    /// as `false`). Encoded under both `prefix_share` and `deep_share`,
+    /// the keys of the two switches it replaced, so artifact bytes stay
+    /// stable.
+    pub share: bool,
     /// ClightX execution tier at capture time: `true` if primitive bodies
     /// ran on the compiled bytecode VM, `false` for the tree-walking
     /// interpreter. Informational — the tiers are bit-identical, so a
@@ -59,7 +58,7 @@ pub struct ReplayOptions {
     pub bytecode: bool,
     /// Convergence dedup of execution states (always off for replay — a
     /// replay must *execute* the witness, never answer it from a cache;
-    /// decoded tolerantly like `prefix_share`).
+    /// decoded tolerantly like `share`).
     pub state_dedup: bool,
 }
 
@@ -96,8 +95,8 @@ impl TraceArtifact {
                     ("workers", Json::Int(self.options.workers as i64)),
                     ("dedup", Json::Bool(self.options.dedup)),
                     ("por", Json::Bool(self.options.por)),
-                    ("prefix_share", Json::Bool(self.options.prefix_share)),
-                    ("deep_share", Json::Bool(self.options.deep_share)),
+                    ("prefix_share", Json::Bool(self.options.share)),
+                    ("deep_share", Json::Bool(self.options.share)),
                     ("bytecode", Json::Bool(self.options.bytecode)),
                     ("state_dedup", Json::Bool(self.options.state_dedup)),
                     // Warm-state families are always keyed by content
@@ -174,16 +173,13 @@ impl TraceArtifact {
             dedup: obool("dedup")?,
             por: obool("por")?,
             // Tolerant: the field postdates FORMAT_VERSION 1, and replay
-            // bypasses the memo structurally either way.
-            prefix_share: oj
+            // bypasses the store structurally either way. Both keys carry
+            // the one flag; `prefix_share` is read.
+            share: oj
                 .get("prefix_share")
                 .and_then(Json::as_bool)
                 .unwrap_or(false),
-            deep_share: oj
-                .get("deep_share")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            // Tolerant like `prefix_share`: predates nothing an old
+            // Tolerant like `share`: predates nothing an old
             // artifact depends on — both tiers validate identically.
             bytecode: oj.get("bytecode").and_then(Json::as_bool).unwrap_or(false),
             // Tolerant: replay forces convergence dedup off structurally,
@@ -300,8 +296,7 @@ mod tests {
                 workers: 1,
                 dedup: false,
                 por: false,
-                prefix_share: false,
-                deep_share: false,
+                share: false,
                 bytecode: false,
                 state_dedup: false,
             },

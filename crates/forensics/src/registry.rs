@@ -52,8 +52,7 @@ impl RunConfig {
             explore: ExploreOptions {
                 workers: 1,
                 por: false,
-                prefix_share: false,
-                deep_share: false,
+                share: false,
                 state_dedup: false,
                 ..ExploreOptions::default()
             },
@@ -328,8 +327,7 @@ pub fn investigate(fx: &Fixture, cfg: &RunConfig) -> Result<TraceArtifact, Strin
             workers: 1,
             dedup: false,
             por: false,
-            prefix_share: false,
-            deep_share: false,
+            share: false,
             // Record the tier the witness was produced on, so the
             // artifact is self-describing about its provenance.
             bytecode: replay.explore.bytecode,

@@ -25,17 +25,16 @@ where
     on
 }
 
-/// `(workers, dedup, por, prefix_share, deep_share, state_dedup)`.
-type Setting = (usize, bool, bool, bool, bool, bool);
+/// `(workers, dedup, por, share, state_dedup)`.
+type Setting = (usize, bool, bool, bool, bool);
 
-fn config((workers, dedup, por, prefix_share, deep_share, state_dedup): Setting) -> RunConfig {
+fn config((workers, dedup, por, share, state_dedup): Setting) -> RunConfig {
     RunConfig {
         dedup,
         explore: ExploreOptions {
             workers,
             por,
-            prefix_share,
-            deep_share,
+            share,
             state_dedup,
             ..ExploreOptions::default()
         },
@@ -44,9 +43,9 @@ fn config((workers, dedup, por, prefix_share, deep_share, state_dedup): Setting)
 
 fn config_grid() -> Vec<RunConfig> {
     vec![
-        config((1, false, false, false, false, false)),
-        config((2, true, true, true, false, false)),
-        config((2, true, true, true, true, true)),
+        config((1, false, false, false, false)),
+        config((2, true, true, true, false)),
+        config((2, true, true, true, true)),
     ]
 }
 

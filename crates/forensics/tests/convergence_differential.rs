@@ -3,7 +3,7 @@
 //! diamond suffixes must be *observationally inert*. The seeded-bug
 //! fixtures must produce the same verdicts and the same captured
 //! failing cases (index, detail, reason, log — byte for byte) with the
-//! convergence cache on and off, across workers × POR × prefix/deep
+//! convergence cache on and off, across workers × POR × sharing
 //! engine configs; a passing ticket-stack certification must keep its
 //! per-obligation case accounting and verdict while *reducing* (never
 //! changing the determinism of) the serial atom-step counters.
@@ -32,28 +32,27 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `(workers, dedup, por, prefix_share, deep_share)` base configs; the
-/// convergence flag is the differential axis layered on each.
-fn base_grid() -> Vec<(usize, bool, bool, bool, bool)> {
+/// `(workers, dedup, por, share)` base configs; the convergence flag is
+/// the differential axis layered on each.
+fn base_grid() -> Vec<(usize, bool, bool, bool)> {
     vec![
-        (1, false, false, false, false),
-        (1, false, true, false, false),
-        (1, false, false, true, true),
-        (1, true, true, true, true),
-        (2, true, false, true, false),
-        (2, true, true, true, true),
+        (1, false, false, false),
+        (1, false, true, false),
+        (1, false, false, true),
+        (1, true, true, true),
+        (2, true, false, true),
+        (2, true, true, true),
     ]
 }
 
-fn config(base: (usize, bool, bool, bool, bool), state_dedup: bool) -> RunConfig {
-    let (workers, dedup, por, prefix_share, deep_share) = base;
+fn config(base: (usize, bool, bool, bool), state_dedup: bool) -> RunConfig {
+    let (workers, dedup, por, share) = base;
     RunConfig {
         dedup,
         explore: ExploreOptions {
             workers,
             por,
-            prefix_share,
-            deep_share,
+            share,
             state_dedup,
             ..ExploreOptions::default()
         },
@@ -224,20 +223,16 @@ fn passing_ticket_stack_is_dedup_invariant_and_cheaper() {
             off.steps,
             on1.steps
         );
-        // The interpreter tier exposes no state fingerprint for in-flight C
-        // primitives, so the cache is deliberately inert there.
-        if bytecode {
-            assert!(
-                on1.converged > 0,
-                "contended ticket stack produced no convergence hits"
-            );
-            assert!(
-                on1.steps < off.steps,
-                "convergence hits saved no steps ({} -> {})",
-                off.steps,
-                on1.steps
-            );
-        }
+        assert!(
+            on1.converged > 0,
+            "contended ticket stack produced no convergence hits (bytecode={bytecode})"
+        );
+        assert!(
+            on1.steps < off.steps,
+            "convergence hits saved no steps (bytecode={bytecode}: {} -> {})",
+            off.steps,
+            on1.steps
+        );
     }
 }
 

@@ -78,8 +78,8 @@ fn golden_artifacts_record_the_replay_fingerprint() {
         assert!(!a.options.dedup, "{}: replay must not dedup", f.display());
         assert!(!a.options.por, "{}: replay must not reduce", f.display());
         assert!(
-            !a.options.prefix_share,
-            "{}: replay must not prefix-share",
+            !a.options.share,
+            "{}: replay must not share lower runs",
             f.display()
         );
         assert!(

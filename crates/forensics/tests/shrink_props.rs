@@ -120,19 +120,15 @@ fn investigation_is_identical_across_workers_and_por() {
         replay_artifact(&reference).expect("reference artifact replays");
         for workers in [1, 4] {
             for por in [false, true] {
-                for prefix_share in [false, true] {
-                    for deep_share in [false, true] {
+                for share in [false, true] {
+                    for state_dedup in [false, true] {
                         let cfg = RunConfig {
                             dedup: workers > 1,
                             explore: ExploreOptions {
                                 workers,
                                 por,
-                                prefix_share,
-                                deep_share,
-                                // Convergence dedup rides the deep axis so
-                                // the grid covers it on and off without
-                                // doubling.
-                                state_dedup: deep_share,
+                                share,
+                                state_dedup,
                                 ..ExploreOptions::default()
                             },
                         };
@@ -142,7 +138,7 @@ fn investigation_is_identical_across_workers_and_por() {
                             got.encode().pretty(),
                             reference_bytes,
                             "{}/{}: artifact drifted under workers={workers} por={por} \
-                             prefix_share={prefix_share} deep_share={deep_share}",
+                             share={share} state_dedup={state_dedup}",
                             fx.checker,
                             fx.object
                         );

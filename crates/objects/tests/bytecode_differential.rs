@@ -5,7 +5,7 @@
 //! evidence, whether the ClightX bodies run on the bytecode VM or on
 //! the tree-walking interpreter. The scenarios are ticket-lock layers
 //! whose `acq`/`rel` are real ClightX code (`M1`), exercised across
-//! worker counts, POR, and prefix/deep sharing.
+//! worker counts, POR, and sharing.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,25 +42,16 @@ where
     on
 }
 
-/// The exploration settings the grid sweeps: (workers, por, prefix
-/// sharing, deep sharing) — serial baseline, parallel + POR with prefix
-/// memoization, and the full snapshot-trie configuration.
-const GRID: [(usize, bool, bool, bool); 3] = [
-    (1, false, false, false),
-    (2, true, true, false),
-    (2, true, true, true),
-];
+/// The exploration settings the grid sweeps: (workers, por, sharing) —
+/// serial baseline and parallel + POR with sharing.
+const GRID: [(usize, bool, bool); 2] = [(1, false, false), (2, true, true)];
 
 /// One [`GRID`] setting on one tier.
-fn opts(
-    (workers, por, prefix_share, deep_share): (usize, bool, bool, bool),
-    bytecode: bool,
-) -> ExploreOptions {
+fn opts((workers, por, share): (usize, bool, bool), bytecode: bool) -> ExploreOptions {
     ExploreOptions {
         workers,
         por,
-        prefix_share,
-        deep_share,
+        share,
         bytecode,
         ..ExploreOptions::default()
     }

@@ -82,7 +82,7 @@ pub fn check_linearizability_with(
 ) -> Result<Obligation, LayerError> {
     // The traced run is a deterministic function of the consumed schedule
     // prefix, so the kernel's game-run helper shares it across contexts
-    // (memo + whole-`GameState` query-point snapshots); the history
+    // (outcomes + whole-`GameState` query-point snapshots); the history
     // abstraction + validation are redone per case (cheap, and the
     // diagnostics name the context index).
     let kernel: Kernel<ccal_core::conc::GameState, ccal_core::explore::GameRun> =

@@ -78,8 +78,9 @@ pub fn check_liveness_with(
 ) -> Result<Obligation, LayerError> {
     // The machine run is a deterministic function of the consumed schedule
     // prefix, so its result (not the per-case classification, which names
-    // the context index) is shared across contexts via the kernel's prefix
-    // memo; query-point snapshots are plain `RunSnap`s with no extra state.
+    // the context index) is shared across contexts as an outcome in the
+    // kernel's store; query-point snapshots are plain `RunSnap`s with no
+    // extra state.
     type LowerRun = (Result<(), ccal_core::machine::MachineError>, ccal_core::log::Log);
     type LiveSnap = ccal_core::explore::RunSnap<()>;
     let kernel: Kernel<LiveSnap, LowerRun> = Kernel::new(opts);
@@ -97,7 +98,7 @@ pub fn check_liveness_with(
         });
     };
     // Drives the call under an abort-capable query-point hook: `Call`
-    // snapshots when deep sharing is on, convergence probing when dedup is
+    // snapshots when sharing is on, convergence probing when dedup is
     // on. A convergence hit aborts at the cut, re-grafts the donor's
     // suffix log onto this run's prefix and reuses the donor's verdict at
     // the donor's consumed depth; a completed run seeds the cache at every
@@ -112,7 +113,7 @@ pub fn check_liveness_with(
         ccal_core::machine::MachineError,
     >|
      -> (LowerRun, usize) {
-        let key = kernel.deep_key(env);
+        let key = kernel.share_key(env);
         let conv_key = kernel.conv_key(env);
         let pre = machine.steps_taken() + machine.log.len() as u64;
         let mut hit: Option<(LowerRun, usize, usize)> = None;
@@ -167,7 +168,7 @@ pub fn check_liveness_with(
         }
     };
     let exec_lower = |env: &EnvContext| -> (LowerRun, usize) {
-        if let Some(k) = kernel.deep_key(env) {
+        if let Some(k) = kernel.share_key(env) {
             if let Some((_, LiveSnap { machine, run, .. })) = kernel.resume_deepest(k, 0) {
                 // Fork the deepest snapshotted ancestor and execute only
                 // the schedule suffix, counting only the suffix work.

@@ -68,7 +68,7 @@ pub fn check_race_freedom_with(
 ) -> Result<Obligation, LayerError> {
     // The traced run is a deterministic function of the consumed schedule
     // prefix, so the kernel's game-run helper shares it across contexts
-    // (memo + whole-`GameState` query-point snapshots); only the per-case
+    // (outcomes + whole-`GameState` query-point snapshots); only the per-case
     // classification (which names the context index) is redone.
     let kernel: Kernel<ccal_core::conc::GameState, ccal_core::explore::GameRun> =
         Kernel::new(opts);

@@ -75,9 +75,9 @@ pub fn check_sequence_refinement_with(
 ) -> Result<Obligation, LayerError> {
     // The impl-machine run is a deterministic function of the consumed
     // schedule prefix and the script index, so it is shared across contexts
-    // via the kernel's prefix memo. The spec phase replays the abstracted
-    // impl log (context-independent) and is recomputed per case: its
-    // environment is derived from the memoized impl log, so recomputation
+    // as an outcome in the kernel's store. The spec phase replays the
+    // abstracted impl log (context-independent) and is recomputed per case:
+    // its environment is derived from the stored impl log, so recomputation
     // is deterministic.
     #[allow(clippy::items_after_statements)]
     #[derive(Clone)]
@@ -92,8 +92,8 @@ pub fn check_sequence_refinement_with(
             rets: Vec<Val>,
         },
     }
-    // A query-point snapshot of the impl machine mid-script (deep
-    // sharing): the in-flight run of script call `extra.0`, with the
+    // A query-point snapshot of the impl machine mid-script (sharing):
+    // the in-flight run of script call `extra.0`, with the
     // return values of the calls already completed in `extra.1`.
     #[allow(clippy::items_after_statements)]
     type SeqSnap = ccal_core::explore::RunSnap<(usize, Vec<Val>)>;
@@ -147,10 +147,10 @@ pub fn check_sequence_refinement_with(
     };
     // Runs script `si` on `m` from call index `first` (finishing `inflight`
     // first when resuming a snapshot), capturing a snapshot at every query
-    // point when deep sharing is on and probing the convergence cache when
+    // point when sharing is on and probing the convergence cache when
     // dedup is on. Returns the completed return values, or the aborted
     // outcome — paired with `Some(donor consumed depth)` on a convergence
-    // hit (the caller memoizes at that depth, not the cut's). Cuts passed
+    // hit (the caller stores the outcome at that depth, not the cut's). Cuts passed
     // without a hit are pushed onto `probes` for the caller to seed.
     let run_script = |m: &mut LayerMachine,
                       si: usize,
@@ -296,7 +296,7 @@ pub fn check_sequence_refinement_with(
     let exec_impl = |env: &EnvContext, si: usize| -> (ImplRun, usize) {
         let conv_key = kernel.conv_key(env);
         let mut probes: Vec<(ccal_core::fingerprint::ContentHash, usize, usize)> = Vec::new();
-        if let Some(k) = kernel.deep_key(env) {
+        if let Some(k) = kernel.share_key(env) {
             if let Some((_, SeqSnap { machine, run, extra: (call, rets) })) =
                 kernel.resume_deepest(k, si)
             {
@@ -336,7 +336,7 @@ pub fn check_sequence_refinement_with(
             0,
             None,
             Vec::new(),
-            kernel.deep_key(env),
+            kernel.share_key(env),
             conv_key,
             &mut probes,
         ) {

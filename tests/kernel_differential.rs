@@ -1,12 +1,12 @@
 //! Differential tests for the unified exploration kernel
 //! (`ccal_core::explore::Kernel`): every bounded checker — simulation,
 //! liveness, linearizability, race freedom and sequence refinement — now
-//! routes its grid walk, prefix memoization, query-point snapshotting,
+//! routes its grid walk, outcome and query-point snapshot sharing,
 //! POR pruning and forensics capture through the one kernel, and that
 //! consolidation must be *observationally invisible*. For real workloads
 //! (the ticket-lock stack of §2 and the queuing lock of Fig. 11) the
 //! verdict, the case accounting, and the first-failure evidence must be
-//! byte-identical across every `workers × por × prefix/deep` engine
+//! byte-identical across every `workers × por × share` engine
 //! configuration, and the process-global step counters must reproduce
 //! exactly on repeated serial runs.
 
@@ -46,20 +46,19 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// The engine configurations every checker is compared across: the
-/// reference is serial with sharing off; each (workers, por, deep)
-/// combination with sharing on must be indistinguishable from the
-/// matching memo-free run.
+/// reference is serial with sharing off; each (workers, por) combination
+/// with sharing on must be indistinguishable from the matching share-free
+/// run.
 const WORKERS: [usize; 2] = [1, 4];
 const POR: [bool; 2] = [false, true];
 
 /// One engine configuration; convergence dedup and the tier at their
 /// defaults.
-fn explore(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> ExploreOptions {
+fn explore(workers: usize, por: bool, share: bool) -> ExploreOptions {
     ExploreOptions {
         workers,
         por,
-        prefix_share,
-        deep_share,
+        share,
         ..ExploreOptions::default()
     }
 }
@@ -119,21 +118,37 @@ fn ticket_iface() -> ccal::core::layer::LayerInterface {
 }
 
 /// Contexts with a real contending lock client, so `acq` consumes a
-/// schedule-dependent number of query points (exercising the snapshot
-/// trie, not just the flat memo).
+/// schedule-dependent number of query points (exercising mid-run
+/// snapshots, not just stored outcomes).
 fn ticket_contexts() -> Vec<EnvContext> {
+    ticket_gen().contexts()
+}
+
+fn ticket_gen() -> ContextGen {
     ContextGen::new(vec![Pid(0), Pid(1)])
         .with_player(Pid(1), Arc::new(TicketEnvPlayer::new(Pid(1), B, 2)))
         .with_schedule_len(4)
         .with_max_contexts(16)
-        .contexts()
 }
 
 fn game_contexts() -> Vec<EnvContext> {
+    game_gen().contexts()
+}
+
+fn game_gen() -> ContextGen {
     ContextGen::new(vec![Pid(0), Pid(1)])
         .with_schedule_len(4)
         .with_max_contexts(16)
-        .contexts()
+}
+
+/// The grid of `gen` twice over, both halves pinned to one schedule-key
+/// family: every script of the second half repeats one of the first, so
+/// it is answered by whatever the first half stored.
+fn twin_contexts(gen: fn() -> ContextGen) -> Vec<EnvContext> {
+    let family = ccal::core::prefix::next_family();
+    let mut contexts = gen().with_family(family).contexts();
+    contexts.extend(gen().with_family(family).contexts());
+    contexts
 }
 
 fn acq_rel_programs(acq: &str, rel: &str) -> BTreeMap<Pid, ThreadScript> {
@@ -161,7 +176,7 @@ fn sim_on_the_ticket_stack_is_kernel_config_invariant() {
     // first abstracted event, so the counterexample (which must match
     // byte-for-byte across configurations) is exercised too.
     for upper_prim in ["acq", "rel"] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
+        let run = |workers: usize, por: bool, share: bool| {
             check_prim_refinement(
                 &lower,
                 "acq",
@@ -172,26 +187,22 @@ fn sim_on_the_ticket_stack_is_kernel_config_invariant() {
                 &contexts,
                 &args,
                 &SimOptions {
-                    explore: explore(workers, por, share, deep),
+                    explore: explore(workers, por, share),
                     ..SimOptions::default()
                 },
             )
         };
         for por in POR {
-            let reference = run(1, por, false, false);
+            let reference = run(1, por, false);
             if upper_prim == "rel" {
                 assert!(reference.is_err(), "acq vs rel must be a counterexample");
             }
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_sim_invisible(
-                        &format!(
-                            "sim ticket upper={upper_prim} workers={workers} por={por} deep={deep}"
-                        ),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
+                assert_sim_invisible(
+                    &format!("sim ticket upper={upper_prim} workers={workers} por={por}"),
+                    &reference,
+                    &run(workers, por, true),
+                );
             }
         }
     }
@@ -205,7 +216,7 @@ fn liveness_on_ticket_acq_is_kernel_config_invariant() {
     // The paper's bound passes; bound 1 is unmeetable, so both polarities
     // (obligation and starvation counterexample) are compared.
     for bound in [ticket_bound(4, 8, 2), 1] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
+        let run = |workers: usize, por: bool, share: bool| {
             check_liveness_with(
                 &iface,
                 "acq",
@@ -214,20 +225,18 @@ fn liveness_on_ticket_acq_is_kernel_config_invariant() {
                 &contexts,
                 bound,
                 FUEL,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(1, por, false, false);
+            let reference = run(1, por, false);
             assert_eq!(reference.is_ok(), bound > 1, "bound {bound} polarity");
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("live ticket bound={bound} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
+                assert_invisible(
+                    &format!("live ticket bound={bound} workers={workers} por={por}"),
+                    &reference,
+                    &run(workers, por, true),
+                );
             }
         }
     }
@@ -244,7 +253,7 @@ fn linearizability_on_ticket_is_kernel_config_invariant() {
     let reject: Box<ccal::verifier::linz::HistoryValidator> =
         Box::new(|_, _| Err("forced rejection (negative control)".to_owned()));
     for (label, validator, expect_ok) in [("honest", &honest, true), ("reject", &reject, false)] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
+        let run = |workers: usize, por: bool, share: bool| {
             check_linearizability_with(
                 &iface,
                 &focused,
@@ -253,20 +262,18 @@ fn linearizability_on_ticket_is_kernel_config_invariant() {
                 validator,
                 &contexts,
                 FUEL,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(1, por, false, false);
+            let reference = run(1, por, false);
             assert_eq!(reference.is_ok(), expect_ok, "{label} polarity");
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("linz ticket {label} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
+                assert_invisible(
+                    &format!("linz ticket {label} workers={workers} por={por}"),
+                    &reference,
+                    &run(workers, por, true),
+                );
             }
         }
     }
@@ -291,22 +298,20 @@ fn race_freedom_is_kernel_config_invariant() {
     let focused = PidSet::from_pids([Pid(0), Pid(1)]);
     let contexts = game_contexts();
     for (label, iface, programs, expect_ok) in &scenarios {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
+        let run = |workers: usize, por: bool, share: bool| {
             check_race_freedom_with(
-                iface, &focused, programs, &contexts, FUEL, &explore(workers, por, share, deep),
+                iface, &focused, programs, &contexts, FUEL, &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(1, por, false, false);
+            let reference = run(1, por, false);
             assert_eq!(reference.is_ok(), *expect_ok, "{label} polarity");
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("race {label} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
+                assert_invisible(
+                    &format!("race {label} workers={workers} por={por}"),
+                    &reference,
+                    &run(workers, por, true),
+                );
             }
         }
     }
@@ -327,7 +332,7 @@ fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
     // exact case index and rendered evidence — must be configuration
     // independent.
     for (label, relation) in [("r1", r1_relation()), ("id", SimRelation::identity())] {
-        let run = |workers: usize, por: bool, share: bool, deep: bool| {
+        let run = |workers: usize, por: bool, share: bool| {
             check_sequence_refinement_with(
                 &impl_iface,
                 &lock_interface(),
@@ -336,19 +341,17 @@ fn sequence_refinement_on_ticket_is_kernel_config_invariant() {
                 &contexts,
                 &scripts,
                 FUEL,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(1, por, false, false);
+            let reference = run(1, por, false);
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("seqref ticket {label} workers={workers} por={por} deep={deep}"),
-                        &reference,
-                        &run(workers, por, true, deep),
-                    );
-                }
+                assert_invisible(
+                    &format!("seqref ticket {label} workers={workers} por={por}"),
+                    &reference,
+                    &run(workers, por, true),
+                );
             }
         }
     }
@@ -369,11 +372,11 @@ fn qlock_overlay_checkers_are_kernel_config_invariant() {
     for por in POR {
         let linz_ref = check_linearizability_with(
             &iface, &focused, &programs, &SimRelation::identity(), &validator, &contexts, FUEL,
-            &explore(1, por, false, false),
+            &explore(1, por, false),
         );
         assert!(linz_ref.is_ok(), "atomic qlock histories linearize");
         let race_ref = check_race_freedom_with(
-            &iface, &focused, &programs, &contexts, FUEL, &explore(1, por, false, false),
+            &iface, &focused, &programs, &contexts, FUEL, &explore(1, por, false),
         );
         assert!(race_ref.is_ok(), "atomic qlock clients are race-free");
         let scripts: Vec<OpScript> = vec![vec![
@@ -382,49 +385,47 @@ fn qlock_overlay_checkers_are_kernel_config_invariant() {
         ]];
         let seq_ref = check_sequence_refinement_with(
             &iface, &iface, &SimRelation::identity(), Pid(0), &contexts, &scripts, FUEL,
-            &explore(1, por, false, false),
+            &explore(1, por, false),
         );
         let live_ref = check_liveness_with(
             &iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL,
-            &explore(1, por, false, false),
+            &explore(1, por, false),
         );
         assert!(live_ref.is_ok(), "uncontended acq_q completes promptly");
         for workers in WORKERS {
-            for deep in [false, true] {
-                let label = format!("qlock workers={workers} por={por} deep={deep}");
-                assert_invisible(
-                    &format!("linz {label}"),
-                    &linz_ref,
-                    &check_linearizability_with(
-                        &iface, &focused, &programs, &SimRelation::identity(), &validator,
-                        &contexts, FUEL, &explore(workers, por, true, deep),
-                    ),
-                );
-                assert_invisible(
-                    &format!("race {label}"),
-                    &race_ref,
-                    &check_race_freedom_with(
-                        &iface, &focused, &programs, &contexts, FUEL,
-                        &explore(workers, por, true, deep),
-                    ),
-                );
-                assert_invisible(
-                    &format!("seqref {label}"),
-                    &seq_ref,
-                    &check_sequence_refinement_with(
-                        &iface, &iface, &SimRelation::identity(), Pid(0), &contexts, &scripts,
-                        FUEL, &explore(workers, por, true, deep),
-                    ),
-                );
-                assert_invisible(
-                    &format!("live {label}"),
-                    &live_ref,
-                    &check_liveness_with(
-                        &iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL,
-                        &explore(workers, por, true, deep),
-                    ),
-                );
-            }
+            let label = format!("qlock workers={workers} por={por}");
+            assert_invisible(
+                &format!("linz {label}"),
+                &linz_ref,
+                &check_linearizability_with(
+                    &iface, &focused, &programs, &SimRelation::identity(), &validator,
+                    &contexts, FUEL, &explore(workers, por, true),
+                ),
+            );
+            assert_invisible(
+                &format!("race {label}"),
+                &race_ref,
+                &check_race_freedom_with(
+                    &iface, &focused, &programs, &contexts, FUEL,
+                    &explore(workers, por, true),
+                ),
+            );
+            assert_invisible(
+                &format!("seqref {label}"),
+                &seq_ref,
+                &check_sequence_refinement_with(
+                    &iface, &iface, &SimRelation::identity(), Pid(0), &contexts, &scripts,
+                    FUEL, &explore(workers, por, true),
+                ),
+            );
+            assert_invisible(
+                &format!("live {label}"),
+                &live_ref,
+                &check_liveness_with(
+                    &iface, "acq_q", &[Val::Loc(B)], Pid(0), &contexts, 32, FUEL,
+                    &explore(workers, por, true),
+                ),
+            );
         }
     }
 }
@@ -455,7 +456,7 @@ fn qlock_certificate_is_deterministic_through_the_kernel() {
 #[test]
 fn serial_step_counters_are_reproducible() {
     let _g = serial();
-    // The atom-step / memo-hit / snapshot-resume counters are process-wide
+    // The atom-step / outcome-hit / snapshot-resume counters are process-wide
     // and only serial-deterministic; two identical serial runs bracketed
     // by a reset must agree exactly, and the sharing counters must show
     // the kernel actually shared work on this grid.
@@ -471,7 +472,7 @@ fn serial_step_counters_are_reproducible() {
             &contexts,
             ticket_bound(4, 8, 2),
             FUEL,
-            &explore(1, true, true, true),
+            &explore(1, true, true),
         )
         .expect("acq is starvation-free under the rely");
         (
@@ -490,4 +491,90 @@ fn serial_step_counters_are_reproducible() {
         first.2 + first.3 > 0,
         "the kernel must share at least one lower run on this grid"
     );
+}
+
+/// The reuse sharing must keep, pinned per checker on the ticket workload
+/// (serial, POR and convergence dedup on): executed atom-steps, runs
+/// answered by a stored outcome (`shared_total`) and runs resumed from a
+/// cut snapshot (`deep_total`). Each grid runs twice over in one family,
+/// so the second half replays scripts the first half finished — including
+/// runs that outlived their script, whose outcome and last cut both sit
+/// at the full-script depth. An outcome that lost its key to a cut of the
+/// same sub-case (or the reverse) shows up here as more atom-steps and
+/// fewer outcome reuses.
+#[test]
+fn sharing_reuse_on_the_ticket_workload_is_pinned() {
+    let _g = serial();
+    let iface = ticket_iface();
+    let ticket = twin_contexts(ticket_gen);
+    let game = twin_contexts(game_gen);
+    let focused = PidSet::from_pids([Pid(0), Pid(1)]);
+    let programs = acq_rel_programs("acq", "rel");
+    let validator = lock_history_validator();
+    let scripts: Vec<OpScript> = vec![vec![
+        ("acq".to_owned(), vec![Val::Loc(B)]),
+        ("rel".to_owned(), vec![Val::Loc(B)]),
+    ]];
+    let opts = explore(1, true, true);
+    let measure = |run: &dyn Fn() -> bool| {
+        ccal::core::prefix::steps_reset();
+        assert!(run(), "the ticket workload passes");
+        (
+            ccal::core::prefix::steps_total(),
+            ccal::core::prefix::shared_total(),
+            ccal::core::prefix::deep_total(),
+        )
+    };
+    let checkers: [(&str, &dyn Fn() -> bool); 5] = [
+        ("sim", &|| {
+            check_prim_refinement(
+                &iface,
+                "acq",
+                &lock_low_interface(),
+                "acq",
+                &SimRelation::identity(),
+                Pid(0),
+                &ticket,
+                &[vec![Val::Loc(B)]],
+                &SimOptions {
+                    explore: opts.clone(),
+                    ..SimOptions::default()
+                },
+            )
+            .is_ok()
+        }),
+        ("live", &|| {
+            check_liveness_with(
+                &iface, "acq", &[Val::Loc(B)], Pid(0), &ticket, ticket_bound(4, 8, 2), FUEL, &opts,
+            )
+            .is_ok()
+        }),
+        ("linz", &|| {
+            check_linearizability_with(
+                &iface, &focused, &programs, &r1_relation(), &validator, &game, FUEL, &opts,
+            )
+            .is_ok()
+        }),
+        ("race", &|| {
+            check_race_freedom_with(&iface, &focused, &programs, &game, FUEL, &opts).is_ok()
+        }),
+        ("seqref", &|| {
+            check_sequence_refinement_with(
+                &iface, &lock_interface(), &r1_relation(), Pid(0), &ticket, &scripts, FUEL, &opts,
+            )
+            .is_ok()
+        }),
+    ];
+    let got: Vec<(&str, (u64, u64, u64))> =
+        checkers.iter().map(|(name, run)| (*name, measure(*run))).collect();
+    // Measured on the engine that kept outcomes in a separate memo beside
+    // the snapshot trie.
+    let pinned: [(&str, (u64, u64, u64)); 5] = [
+        ("sim", (140, 17, 14)),
+        ("live", (140, 17, 14)),
+        ("linz", (194, 16, 15)),
+        ("race", (194, 16, 15)),
+        ("seqref", (167, 17, 14)),
+    ];
+    assert_eq!(got, pinned, "(atom-steps, shared, deep) per checker");
 }

@@ -5,10 +5,10 @@
 //! first-failure case index, and bit-identical captured logs as the
 //! memo-free engine, across serial and parallel workers and with the
 //! partial-order reduction on or off. Mirrors `tests/por_differential.rs`
-//! along the sharing axis, across all five bounded checkers. Each
-//! comparison runs twice more with deep sharing (the query-point snapshot
-//! trie, `ccal_core::prefix::SnapshotTrie`) off and on, so forked-resume
-//! suffix execution is held to the same invisibility contract.
+//! along the sharing axis, across all five bounded checkers. Sharing
+//! stores finished outcomes and query-point snapshots in one trie
+//! (`ccal_core::prefix::SnapshotTrie`), so forked-resume suffix execution
+//! is held to the same invisibility contract.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,12 +41,11 @@ const POR: [bool; 2] = [false, true];
 
 /// One engine configuration; convergence dedup and the tier at their
 /// defaults.
-fn explore(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> ExploreOptions {
+fn explore(workers: usize, por: bool, share: bool) -> ExploreOptions {
     ExploreOptions {
         workers,
         por,
-        prefix_share,
-        deep_share,
+        share,
         ..ExploreOptions::default()
     }
 }
@@ -149,7 +148,7 @@ fn sim_refinement_is_identical_with_and_without_sharing() {
     let args: Vec<Vec<Val>> = (0..6).map(|i| vec![Val::Int(i)]).collect();
     for broken in [false, true] {
         let up = upper(broken);
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
+        let run = |share: bool, workers: usize, por: bool| {
             check_prim_refinement(
                 &lower,
                 "op",
@@ -160,22 +159,20 @@ fn sim_refinement_is_identical_with_and_without_sharing() {
                 &contexts,
                 &args,
                 &SimOptions {
-                    explore: explore(workers, por, share, deep),
+                    explore: explore(workers, por, share),
                     ..SimOptions::default()
                 },
             )
         };
         for por in POR {
-            let reference = run(false, false, 1, por);
+            let reference = run(false, 1, por);
             for workers in WORKERS {
-                for deep in [false, true] {
-                    let shared = run(true, deep, workers, por);
-                    assert_sim_invisible(
-                        &format!("sim broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &shared,
-                    );
-                }
+                let shared = run(true, workers, por);
+                assert_sim_invisible(
+                    &format!("sim broken={broken} workers={workers} por={por}"),
+                    &reference,
+                    &shared,
+                );
             }
             if broken {
                 let failure = reference.as_ref().expect_err("broken for args >= 4");
@@ -263,10 +260,10 @@ fn setup_skips_and_failures_stay_keyed_at_their_consumed_depth() {
     let args: Vec<Vec<Val>> = (0..2).map(|i| vec![Val::Int(i)]).collect();
     for broken in [false, true] {
         let upper = gated_upper_iface(broken);
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
+        let run = |share: bool, workers: usize, por: bool| {
             let opts = SimOptions {
                 setup: vec![("gate".to_owned(), Vec::new())],
-                explore: explore(workers, por, share, deep),
+                explore: explore(workers, por, share),
                 ..SimOptions::default()
             };
             check_prim_refinement(
@@ -282,7 +279,7 @@ fn setup_skips_and_failures_stay_keyed_at_their_consumed_depth() {
             )
         };
         for por in POR {
-            let reference = run(false, false, 1, por);
+            let reference = run(false, 1, por);
             if !broken {
                 // The grid must mix skipping and non-skipping setups, or
                 // the scenario exercises nothing.
@@ -291,15 +288,11 @@ fn setup_skips_and_failures_stay_keyed_at_their_consumed_depth() {
                 assert!(ev.cases_checked > 0, "some setups must succeed");
             }
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_sim_invisible(
-                        &format!(
-                            "gated-setup broken={broken} deep={deep} workers={workers} por={por}"
-                        ),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
+                assert_sim_invisible(
+                    &format!("gated-setup broken={broken} workers={workers} por={por}"),
+                    &reference,
+                    &run(true, workers, por),
+                );
             }
         }
     }
@@ -330,7 +323,7 @@ fn wait_for_iface(k: usize) -> LayerInterface {
 fn liveness_is_identical_with_and_without_sharing() {
     let contexts = grid(3);
     for bound in [64, 0] {
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
+        let run = |share: bool, workers: usize, por: bool| {
             check_liveness_with(
                 &wait_for_iface(1),
                 "wait",
@@ -339,19 +332,17 @@ fn liveness_is_identical_with_and_without_sharing() {
                 &contexts,
                 bound,
                 100_000,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(false, false, 1, por);
+            let reference = run(false, 1, por);
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("live bound={bound} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
+                assert_invisible(
+                    &format!("live bound={bound} workers={workers} por={por}"),
+                    &reference,
+                    &run(true, workers, por),
+                );
             }
         }
     }
@@ -394,26 +385,24 @@ fn race_freedom_is_identical_with_and_without_sharing() {
                 ],
             );
         }
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
+        let run = |share: bool, workers: usize, por: bool| {
             check_race_freedom_with(
                 &mx86_hw_interface(),
                 &pids,
                 &programs,
                 &contexts,
                 50_000,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(false, false, 1, por);
+            let reference = run(false, 1, por);
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("race broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
+                assert_invisible(
+                    &format!("race broken={broken} workers={workers} por={por}"),
+                    &reference,
+                    &run(true, workers, por),
+                );
             }
         }
     }
@@ -454,7 +443,7 @@ fn linearizability_is_identical_with_and_without_sharing() {
     );
     for broken in [false, true] {
         let iface = atomic_queue_iface(if broken { Some(999) } else { None });
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
+        let run = |share: bool, workers: usize, por: bool| {
             check_linearizability_with(
                 &iface,
                 &focused,
@@ -463,19 +452,17 @@ fn linearizability_is_identical_with_and_without_sharing() {
                 &*fifo_history_validator("deq"),
                 &contexts,
                 100_000,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(false, false, 1, por);
+            let reference = run(false, 1, por);
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("linz broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
+                assert_invisible(
+                    &format!("linz broken={broken} workers={workers} por={por}"),
+                    &reference,
+                    &run(true, workers, por),
+                );
             }
         }
     }
@@ -492,7 +479,7 @@ fn sequence_refinement_is_identical_with_and_without_sharing() {
     for broken in [false, true] {
         let impl_iface = counter_iface("ctr-impl", broken);
         let spec_iface = counter_iface("ctr-spec", false);
-        let run = |share: bool, deep: bool, workers: usize, por: bool| {
+        let run = |share: bool, workers: usize, por: bool| {
             check_sequence_refinement_with(
                 &impl_iface,
                 &spec_iface,
@@ -501,19 +488,17 @@ fn sequence_refinement_is_identical_with_and_without_sharing() {
                 &contexts,
                 &scripts,
                 100_000,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         for por in POR {
-            let reference = run(false, false, 1, por);
+            let reference = run(false, 1, por);
             for workers in WORKERS {
-                for deep in [false, true] {
-                    assert_invisible(
-                        &format!("seqref broken={broken} deep={deep} workers={workers} por={por}"),
-                        &reference,
-                        &run(true, deep, workers, por),
-                    );
-                }
+                assert_invisible(
+                    &format!("seqref broken={broken} workers={workers} por={por}"),
+                    &reference,
+                    &run(true, workers, por),
+                );
             }
         }
     }
@@ -562,13 +547,12 @@ proptest! {
         c2 in 0_u8..4,
         c3 in 0_u8..4,
         broken in 0_u8..2,
-        knobs in 0_u8..8,
+        knobs in 0_u8..4,
     ) {
         let contexts = random_contexts(len, [c1, c2, c3]);
         let broken = broken == 1;
         let por = knobs & 1 == 1;
         let workers = if knobs & 2 == 2 { 4 } else { 1 };
-        let deep = knobs & 4 == 4;
 
         // 1. Prim refinement.
         let sim = |share: bool, workers: usize| {
@@ -582,7 +566,7 @@ proptest! {
                 &contexts,
                 &[vec![], vec![], vec![]],
                 &SimOptions {
-                    explore: explore(workers, por, share, deep),
+                    explore: explore(workers, por, share),
                     ..SimOptions::default()
                 },
             )
@@ -594,7 +578,7 @@ proptest! {
         let live = |share: bool, workers: usize| {
             check_liveness_with(
                 &wait_for_iface(1), "wait", &[], Pid(0), &contexts, bound, 100_000,
-                &explore(workers, por, share, deep),
+                &explore(workers, por, share),
             )
         };
         assert_invisible("live", &live(false, 1), &live(true, workers));
@@ -617,7 +601,7 @@ proptest! {
             let race = |share: bool, workers: usize| {
                 check_race_freedom_with(
                     &mx86_hw_interface(), &focused, &programs, &contexts, 50_000,
-                    &explore(workers, por, share, deep),
+                    &explore(workers, por, share),
                 )
             };
             assert_invisible("race", &race(false, 1), &race(true, workers));
@@ -644,7 +628,7 @@ proptest! {
                     &*fifo_history_validator("deq"),
                     &contexts,
                     100_000,
-                    &explore(workers, por, share, deep),
+                    &explore(workers, por, share),
                 )
             };
             assert_invisible("linz", &linz(false, 1), &linz(true, workers));
@@ -662,7 +646,7 @@ proptest! {
                     &contexts,
                     &scripts,
                     100_000,
-                    &explore(workers, por, share, deep),
+                    &explore(workers, por, share),
                 )
             };
             assert_invisible("seqref", &seq(false, 1), &seq(true, workers));

@@ -11,7 +11,7 @@
 //! 1. **Registry differential**: every known stack is certified twice —
 //!    cold (no warm state, fresh caches per unit) vs. one warm map keyed
 //!    by semantic sharing keys and shared across units exactly as
-//!    `ccal-certd` runs it — across workers × POR × prefix/deep sharing
+//!    `ccal-certd` runs it — across workers × POR × sharing on/off
 //!    × both ClightX execution tiers.
 //! 2. **Checker differential**: all five bounded checkers run on a
 //!    "twin" grid — two content-equal context generators concatenated —
@@ -95,22 +95,19 @@ fn registry_verdicts_are_identical_between_cold_and_warm_runs() {
                 }
             }
         }
-        // The prefix/deep sharing axis, at the default corner.
-        for (prefix_share, deep_share) in [(true, false), (false, false)] {
-            let mut p = CertParams::default();
-            p.prefix_share = prefix_share;
-            p.deep_share = deep_share;
-            grid.push(p);
-        }
+        // The sharing axis, at the default corner.
+        grid.push(CertParams {
+            share: false,
+            ..CertParams::default()
+        });
         for params in &grid {
             let cold = certify_stack(stack, params, false);
             let warm = certify_stack(stack, params, true);
             assert_eq!(
                 cold, warm,
                 "stack `{stack}` drifted under semantic sharing \
-                 (workers={} por={} prefix={} deep={} bytecode={})",
-                params.workers, params.por, params.prefix_share, params.deep_share,
-                params.bytecode
+                 (workers={} por={} share={} bytecode={})",
+                params.workers, params.por, params.share, params.bytecode
             );
             // The differential only has teeth if both polarities appear:
             // scratch must fail (with rendered index-least evidence held
@@ -218,16 +215,14 @@ fn counter_iface(name: &str, broken: bool) -> LayerInterface {
 
 const WORKERS: [usize; 2] = [1, 4];
 const POR: [bool; 2] = [false, true];
-const DEEP: [bool; 2] = [false, true];
 
 /// One engine configuration; convergence dedup and the tier at their
 /// defaults.
-fn explore(workers: usize, por: bool, prefix_share: bool, deep_share: bool) -> ExploreOptions {
+fn explore(workers: usize, por: bool, share: bool) -> ExploreOptions {
     ExploreOptions {
         workers,
         por,
-        prefix_share,
-        deep_share,
+        share,
         ..ExploreOptions::default()
     }
 }
@@ -254,7 +249,7 @@ fn sim_refinement_matches_between_shared_and_pinned_twin_grids() {
     let args: Vec<Vec<Val>> = (0..6).map(|i| vec![Val::Int(i)]).collect();
     for broken in [false, true] {
         let up = upper(broken);
-        let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
+        let run = |contexts: &[EnvContext], workers: usize, por: bool| {
             check_prim_refinement(
                 &lower,
                 "op",
@@ -270,22 +265,20 @@ fn sim_refinement_matches_between_shared_and_pinned_twin_grids() {
                 // must be the live mechanism here.
                 &SimOptions {
                     dedup: false,
-                    explore: explore(workers, por, true, deep),
+                    explore: explore(workers, por, true),
                     ..SimOptions::default()
                 },
             )
         };
         for por in POR {
             for workers in WORKERS {
-                for deep in DEEP {
-                    let pinned = run(&twin_grid(None), deep, workers, por);
-                    let shared = run(&twin_grid(Some(family)), deep, workers, por);
-                    assert_sim_invisible(
-                        &format!("sim broken={broken} deep={deep} workers={workers} por={por}"),
-                        &pinned,
-                        &shared,
-                    );
-                }
+                let pinned = run(&twin_grid(None), workers, por);
+                let shared = run(&twin_grid(Some(family)), workers, por);
+                assert_sim_invisible(
+                    &format!("sim broken={broken} workers={workers} por={por}"),
+                    &pinned,
+                    &shared,
+                );
             }
         }
         // Teeth: on a serial deterministic run, the shared-family twins
@@ -296,7 +289,7 @@ fn sim_refinement_matches_between_shared_and_pinned_twin_grids() {
         if !broken {
             let shares = |contexts: &[EnvContext]| {
                 let before = prefix::shared_total();
-                let _ = run(contexts, true, 1, true);
+                let _ = run(contexts, 1, true);
                 prefix::shared_total() - before
             };
             let pinned_shares = shares(&twin_grid(None));
@@ -333,21 +326,19 @@ fn liveness_matches_between_shared_and_pinned_twin_grids() {
         .build();
     let family = twin_family(&iface);
     for bound in [64, 0] {
-        let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
+        let run = |contexts: &[EnvContext], workers: usize, por: bool| {
             check_liveness_with(
                 &iface, "wait", &[], Pid(0), contexts, bound, 100_000,
-                &explore(workers, por, true, deep),
+                &explore(workers, por, true),
             )
         };
         for por in POR {
             for workers in WORKERS {
-                for deep in DEEP {
-                    assert_invisible(
-                        &format!("live bound={bound} deep={deep} workers={workers} por={por}"),
-                        &run(&twin_grid(None), deep, workers, por),
-                        &run(&twin_grid(Some(family)), deep, workers, por),
-                    );
-                }
+                assert_invisible(
+                    &format!("live bound={bound} workers={workers} por={por}"),
+                    &run(&twin_grid(None), workers, por),
+                    &run(&twin_grid(Some(family)), workers, por),
+                );
             }
         }
     }
@@ -368,20 +359,18 @@ fn race_freedom_matches_between_shared_and_pinned_twin_grids() {
             ("push".to_owned(), vec![Val::Loc(Loc(50))]),
         ],
     );
-    let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
+    let run = |contexts: &[EnvContext], workers: usize, por: bool| {
         check_race_freedom_with(
-            &iface, &focused, &programs, contexts, 50_000, &explore(workers, por, true, deep),
+            &iface, &focused, &programs, contexts, 50_000, &explore(workers, por, true),
         )
     };
     for por in POR {
         for workers in WORKERS {
-            for deep in DEEP {
-                assert_invisible(
-                    &format!("race deep={deep} workers={workers} por={por}"),
-                    &run(&twin_grid(None), deep, workers, por),
-                    &run(&twin_grid(Some(family)), deep, workers, por),
-                );
-            }
+            assert_invisible(
+                &format!("race workers={workers} por={por}"),
+                &run(&twin_grid(None), workers, por),
+                &run(&twin_grid(Some(family)), workers, por),
+            );
         }
     }
 }
@@ -422,7 +411,7 @@ fn linearizability_matches_between_shared_and_pinned_twin_grids() {
     for broken in [false, true] {
         let iface = queue_iface(broken);
         let family = twin_family(&iface);
-        let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
+        let run = |contexts: &[EnvContext], workers: usize, por: bool| {
             check_linearizability_with(
                 &iface,
                 &focused,
@@ -431,18 +420,16 @@ fn linearizability_matches_between_shared_and_pinned_twin_grids() {
                 &*fifo_history_validator("deq"),
                 contexts,
                 100_000,
-                &explore(workers, por, true, deep),
+                &explore(workers, por, true),
             )
         };
         for por in POR {
             for workers in WORKERS {
-                for deep in DEEP {
-                    assert_invisible(
-                        &format!("linz broken={broken} deep={deep} workers={workers} por={por}"),
-                        &run(&twin_grid(None), deep, workers, por),
-                        &run(&twin_grid(Some(family)), deep, workers, por),
-                    );
-                }
+                assert_invisible(
+                    &format!("linz broken={broken} workers={workers} por={por}"),
+                    &run(&twin_grid(None), workers, por),
+                    &run(&twin_grid(Some(family)), workers, por),
+                );
             }
         }
     }
@@ -459,7 +446,7 @@ fn sequence_refinement_matches_between_shared_and_pinned_twin_grids() {
         let impl_iface = counter_iface("ctr-impl", broken);
         let spec_iface = counter_iface("ctr-spec", false);
         let family = twin_family(&impl_iface);
-        let run = |contexts: &[EnvContext], deep: bool, workers: usize, por: bool| {
+        let run = |contexts: &[EnvContext], workers: usize, por: bool| {
             check_sequence_refinement_with(
                 &impl_iface,
                 &spec_iface,
@@ -468,18 +455,16 @@ fn sequence_refinement_matches_between_shared_and_pinned_twin_grids() {
                 contexts,
                 &scripts,
                 100_000,
-                &explore(workers, por, true, deep),
+                &explore(workers, por, true),
             )
         };
         for por in POR {
             for workers in WORKERS {
-                for deep in DEEP {
-                    assert_invisible(
-                        &format!("seqref broken={broken} deep={deep} workers={workers} por={por}"),
-                        &run(&twin_grid(None), deep, workers, por),
-                        &run(&twin_grid(Some(family)), deep, workers, por),
-                    );
-                }
+                assert_invisible(
+                    &format!("seqref broken={broken} workers={workers} por={por}"),
+                    &run(&twin_grid(None), workers, por),
+                    &run(&twin_grid(Some(family)), workers, por),
+                );
             }
         }
     }
@@ -555,7 +540,7 @@ fn hostile_aliasing_gets_distinct_keys_and_never_exchanges_state() {
         let base_opts = SimOptions {
             explore: ExploreOptions {
                 bytecode,
-                ..explore(1, true, true, true)
+                ..explore(1, true, true)
             },
             ..SimOptions::default()
         };
@@ -691,7 +676,7 @@ fn interpreter_tier_convergence_dedup_is_live_and_invisible() {
                 explore: ExploreOptions {
                     bytecode: false,
                     state_dedup,
-                    ..explore(1, false, true, true)
+                    ..explore(1, false, true)
                 },
                 ..SimOptions::default()
             },
